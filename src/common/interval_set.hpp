@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -43,7 +44,10 @@ constexpr Interval intersect(const Interval& a, const Interval& b) {
 /// An ordered set of disjoint, non-adjacent half-open intervals.
 ///
 /// Maintains the canonical form invariant: intervals are sorted, non-empty,
-/// and separated by gaps (adjacent/overlapping inserts coalesce).
+/// and separated by gaps (adjacent/overlapping inserts coalesce). Spans live
+/// in one sorted vector: lookups binary-search it and updates rewrite the
+/// affected run of spans in place, so a set that stays small stops touching
+/// the allocator after its first few inserts.
 class IntervalSet {
  public:
   IntervalSet() = default;
@@ -55,66 +59,64 @@ class IntervalSet {
   /// Total number of points covered.
   std::int64_t measure() const {
     std::int64_t total = 0;
-    for (const auto& [b, e] : spans_) total += e - b;
+    for (const Interval& span : spans_) total += span.end - span.begin;
     return total;
   }
 
   /// Adds an interval, coalescing with any overlapping/adjacent spans.
   void insert(Interval iv) {
     if (iv.empty()) return;
-    // Find the first span that could merge: the first with end >= iv.begin.
-    auto it = spans_.lower_bound(iv.begin);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= iv.begin) it = prev;
+    // The run of spans that overlap or touch iv merges into it.
+    const auto first = std::partition_point(
+        spans_.begin(), spans_.end(),
+        [&iv](const Interval& span) { return span.end < iv.begin; });
+    const auto last = std::partition_point(
+        first, spans_.end(),
+        [&iv](const Interval& span) { return span.begin <= iv.end; });
+    if (first == last) {
+      spans_.insert(first, iv);
+      return;
     }
-    while (it != spans_.end() && it->first <= iv.end) {
-      iv.begin = std::min(iv.begin, it->first);
-      iv.end = std::max(iv.end, it->second);
-      it = spans_.erase(it);
-    }
-    spans_.emplace(iv.begin, iv.end);
+    first->begin = std::min(first->begin, iv.begin);
+    first->end = std::max(std::prev(last)->end, iv.end);
+    spans_.erase(std::next(first), last);
   }
 
   void insert(const IntervalSet& other) {
-    for (const auto& [b, e] : other.spans_) insert({b, e});
+    for (const Interval& span : other.spans_) insert(span);
   }
 
   /// Removes all points of `iv` from the set (splitting spans as needed).
   void erase(Interval iv) {
-    if (iv.empty() || spans_.empty()) return;
-    auto it = spans_.lower_bound(iv.begin);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second > iv.begin) it = prev;
+    if (iv.empty()) return;
+    auto [first, last] = overlapping(spans_, iv);
+    if (first == last) return;
+    const bool keep_head = first->begin < iv.begin;
+    const bool keep_tail = std::prev(last)->end > iv.end;
+    if (keep_head && keep_tail && std::next(first) == last) {
+      // iv lies strictly inside one span: split it in two.
+      const Interval tail{iv.end, first->end};
+      first->end = iv.begin;
+      spans_.insert(last, tail);
+      return;
     }
-    std::vector<Interval> to_add;
-    while (it != spans_.end() && it->first < iv.end) {
-      const Interval span{it->first, it->second};
-      it = spans_.erase(it);
-      if (span.begin < iv.begin) to_add.push_back({span.begin, iv.begin});
-      if (span.end > iv.end) to_add.push_back({iv.end, span.end});
-    }
-    for (const auto& piece : to_add) spans_.emplace(piece.begin, piece.end);
+    if (keep_head) (first++)->end = iv.begin;
+    if (keep_tail) (--last)->begin = iv.end;
+    spans_.erase(first, last);
   }
 
   /// True iff every point of `iv` is covered.
   bool covers(Interval iv) const {
     if (iv.empty()) return true;
-    auto it = spans_.upper_bound(iv.begin);
-    if (it == spans_.begin()) return false;
-    --it;
-    return it->first <= iv.begin && it->second >= iv.end;
+    const auto [first, last] = overlapping(spans_, iv);
+    return first != last && first->begin <= iv.begin && first->end >= iv.end;
   }
 
   /// True iff any point of `iv` is covered.
   bool intersects(Interval iv) const {
-    if (iv.empty() || spans_.empty()) return false;
-    auto it = spans_.lower_bound(iv.begin);
-    if (it != spans_.end() && it->first < iv.end) return true;
-    if (it == spans_.begin()) return false;
-    --it;
-    return it->second > iv.begin;
+    if (iv.empty()) return false;
+    const auto [first, last] = overlapping(spans_, iv);
+    return first != last;
   }
 
   /// The parts of `iv` NOT covered by this set (in order).
@@ -122,14 +124,10 @@ class IntervalSet {
     std::vector<Interval> result;
     if (iv.empty()) return result;
     std::int64_t cursor = iv.begin;
-    auto it = spans_.upper_bound(iv.begin);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second > iv.begin) cursor = std::min(prev->second, iv.end);
-    }
-    for (; it != spans_.end() && it->first < iv.end; ++it) {
-      if (it->first > cursor) result.push_back({cursor, it->first});
-      cursor = std::min(it->second, iv.end);
+    const auto [first, last] = overlapping(spans_, iv);
+    for (auto it = first; it != last; ++it) {
+      if (it->begin > cursor) result.push_back({cursor, it->begin});
+      cursor = std::min(it->end, iv.end);
     }
     if (cursor < iv.end) result.push_back({cursor, iv.end});
     return result;
@@ -139,29 +137,36 @@ class IntervalSet {
   std::vector<Interval> pieces_within(Interval iv) const {
     std::vector<Interval> result;
     if (iv.empty()) return result;
-    auto it = spans_.upper_bound(iv.begin);
-    if (it != spans_.begin()) --it;
-    for (; it != spans_.end() && it->first < iv.end; ++it) {
-      const Interval piece = intersect({it->first, it->second}, iv);
-      if (!piece.empty()) result.push_back(piece);
-    }
+    const auto [first, last] = overlapping(spans_, iv);
+    for (auto it = first; it != last; ++it)
+      result.push_back(intersect(*it, iv));
     return result;
   }
 
-  std::vector<Interval> to_vector() const {
-    std::vector<Interval> result;
-    result.reserve(spans_.size());
-    for (const auto& [b, e] : spans_) result.push_back({b, e});
-    return result;
-  }
+  std::vector<Interval> to_vector() const { return spans_; }
 
   friend bool operator==(const IntervalSet& a, const IntervalSet& b) {
     return a.spans_ == b.spans_;
   }
 
  private:
-  // begin -> end, canonical form.
-  std::map<std::int64_t, std::int64_t> spans_;
+  /// The run [first, last) of spans overlapping non-empty `iv`. Spans are
+  /// disjoint and sorted, so their ends ascend too and both bounds are
+  /// binary searches.
+  template <typename Spans>
+  static auto overlapping(Spans& spans, Interval iv)
+      -> std::pair<decltype(spans.begin()), decltype(spans.begin())> {
+    const auto first = std::partition_point(
+        spans.begin(), spans.end(),
+        [&iv](const Interval& span) { return span.end <= iv.begin; });
+    const auto last = std::partition_point(
+        first, spans.end(),
+        [&iv](const Interval& span) { return span.begin < iv.end; });
+    return {first, last};
+  }
+
+  // Sorted by begin, canonical form.
+  std::vector<Interval> spans_;
 };
 
 }  // namespace hetsched

@@ -1,6 +1,8 @@
 #pragma once
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -27,34 +29,65 @@ class RangeMap {
   std::size_t span_count() const { return spans_.size(); }
 
   /// Assigns `value` to every point in `range`, overwriting previous values.
+  /// The new span then merges with an equal-valued neighbour that touches
+  /// it on either side, keeping the map compact.
   void assign(Interval range, T value) {
     if (range.empty()) return;
-    erase(range);
-    spans_.emplace(range.begin, Span{range.end, std::move(value)});
-    // Merge with equal-valued neighbours to keep the map compact.
-    coalesce_around(range.begin);
+    auto [first, last] = overlapping(spans_, range);
+    if (first != last && std::next(first) == last &&
+        first->range.begin < range.begin && first->range.end > range.end) {
+      // `range` lies strictly inside one span: an equal value changes
+      // nothing, another splits the span around the new one.
+      if (first->value == value) return;
+      Entry tail{{range.end, first->range.end}, first->value};
+      first->range.end = range.begin;
+      const auto at = spans_.insert(last, Entry{range, std::move(value)});
+      spans_.insert(std::next(at), std::move(tail));
+      return;
+    }
+    // Trim the spans that stick out of `range`; [first, last) then holds
+    // exactly the spans the new one replaces.
+    if (first != last && first->range.begin < range.begin)
+      (first++)->range.end = range.begin;
+    if (first != last && std::prev(last)->range.end > range.end)
+      (--last)->range.begin = range.end;
+    Entry span{range, std::move(value)};
+    if (first != spans_.begin() &&
+        std::prev(first)->range.end == range.begin &&
+        std::prev(first)->value == span.value) {
+      --first;
+      span.range.begin = first->range.begin;
+    }
+    if (last != spans_.end() && last->range.begin == range.end &&
+        last->value == span.value) {
+      span.range.end = last->range.end;
+      ++last;
+    }
+    if (first == last) {
+      spans_.insert(first, std::move(span));
+      return;
+    }
+    *first = std::move(span);
+    spans_.erase(std::next(first), last);
   }
 
   /// Removes all points of `range` from the map.
   void erase(Interval range) {
-    if (range.empty() || spans_.empty()) return;
-    auto it = spans_.lower_bound(range.begin);
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end > range.begin) it = prev;
+    if (range.empty()) return;
+    auto [first, last] = overlapping(spans_, range);
+    if (first == last) return;
+    const bool keep_head = first->range.begin < range.begin;
+    const bool keep_tail = std::prev(last)->range.end > range.end;
+    if (keep_head && keep_tail && std::next(first) == last) {
+      // `range` lies strictly inside one span: split it in two.
+      Entry tail{{range.end, first->range.end}, first->value};
+      first->range.end = range.begin;
+      spans_.insert(last, std::move(tail));
+      return;
     }
-    std::vector<std::pair<Interval, T>> to_add;
-    while (it != spans_.end() && it->first < range.end) {
-      const Interval span{it->first, it->second.end};
-      T value = std::move(it->second.value);
-      it = spans_.erase(it);
-      if (span.begin < range.begin)
-        to_add.emplace_back(Interval{span.begin, range.begin}, value);
-      if (span.end > range.end)
-        to_add.emplace_back(Interval{range.end, span.end}, std::move(value));
-    }
-    for (auto& [piece, value] : to_add)
-      spans_.emplace(piece.begin, Span{piece.end, std::move(value)});
+    if (keep_head) (first++)->range.end = range.begin;
+    if (keep_tail) (--last)->range.begin = range.end;
+    spans_.erase(first, last);
   }
 
   /// All (sub-range, value) pieces overlapping `range`, in order.
@@ -70,71 +103,44 @@ class RangeMap {
   /// the allocation-free form of query() for hot paths.
   template <typename Fn>
   void for_each_overlapping(Interval range, Fn&& fn) const {
-    if (range.empty() || spans_.empty()) return;
-    auto it = spans_.upper_bound(range.begin);
-    if (it != spans_.begin()) --it;
-    for (; it != spans_.end() && it->first < range.end; ++it) {
-      const Interval piece =
-          intersect({it->first, it->second.end}, range);
-      if (!piece.empty()) fn(piece, it->second.value);
-    }
+    if (range.empty()) return;
+    const auto [first, last] = overlapping(spans_, range);
+    for (auto it = first; it != last; ++it)
+      fn(intersect(it->range, range), it->value);
   }
 
   /// Distinct values overlapping `range` (order of first appearance).
   std::vector<T> values_overlapping(Interval range) const {
     std::vector<T> result;
-    for (const Entry& entry : query(range)) {
-      bool seen = false;
-      for (const T& v : result)
-        if (v == entry.value) {
-          seen = true;
-          break;
-        }
-      if (!seen) result.push_back(entry.value);
-    }
+    for_each_overlapping(range, [&result](Interval, const T& value) {
+      if (std::find(result.begin(), result.end(), value) == result.end())
+        result.push_back(value);
+    });
     return result;
   }
 
   void clear() { spans_.clear(); }
 
-  std::vector<Entry> to_vector() const {
-    std::vector<Entry> result;
-    result.reserve(spans_.size());
-    for (const auto& [begin, span] : spans_)
-      result.push_back({{begin, span.end}, span.value});
-    return result;
-  }
+  std::vector<Entry> to_vector() const { return spans_; }
 
  private:
-  struct Span {
-    std::int64_t end;
-    T value;
-  };
-
-  void coalesce_around(std::int64_t begin) {
-    auto it = spans_.find(begin);
-    if (it == spans_.end()) return;
-    // Merge with the predecessor if touching and equal-valued.
-    if (it != spans_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end == it->first &&
-          prev->second.value == it->second.value) {
-        prev->second.end = it->second.end;
-        spans_.erase(it);
-        it = prev;
-      }
-    }
-    // Merge with the successor likewise.
-    auto next = std::next(it);
-    if (next != spans_.end() && it->second.end == next->first &&
-        it->second.value == next->second.value) {
-      it->second.end = next->second.end;
-      spans_.erase(next);
-    }
+  /// The run [first, last) of spans overlapping non-empty `range`. Spans
+  /// are disjoint and sorted, so their ends ascend too and both bounds are
+  /// binary searches.
+  template <typename Spans>
+  static auto overlapping(Spans& spans, Interval range)
+      -> std::pair<decltype(spans.begin()), decltype(spans.begin())> {
+    const auto first = std::partition_point(
+        spans.begin(), spans.end(),
+        [&range](const Entry& e) { return e.range.end <= range.begin; });
+    const auto last = std::partition_point(
+        first, spans.end(),
+        [&range](const Entry& e) { return e.range.begin < range.end; });
+    return {first, last};
   }
 
-  // begin -> (end, value); spans are disjoint.
-  std::map<std::int64_t, Span> spans_;
+  // Sorted by begin; spans are disjoint.
+  std::vector<Entry> spans_;
 };
 
 }  // namespace hetsched

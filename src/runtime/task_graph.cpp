@@ -1,8 +1,7 @@
 #include "runtime/task_graph.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/range_map.hpp"
@@ -18,15 +17,37 @@ struct BufferTracker {
   /// Tasks that read each byte range since it was last written.
   /// (range, reader) records; written ranges are subtracted on writes.
   std::vector<std::pair<Interval, TaskId>> readers;
+  /// Listed in `touched` since the last barrier.
+  bool touched = false;
 };
 
 }  // namespace
 
 TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
                      const Program& program) {
-  std::map<mem::BufferId, BufferTracker> trackers;
+  nodes_.reserve(program.ops().size());
+  // Indexed by BufferId; `touched` lists the buffers with state since the
+  // last barrier, so a barrier clears those alone and keeps every
+  // tracker's storage for the next phase.
+  std::vector<BufferTracker> trackers;
+  std::vector<mem::BufferId> touched;
   std::optional<TaskId> last_barrier;
   std::vector<TaskId> since_barrier;
+  // Predecessors of the node being built. One task can be named several
+  // times (by RAW, WAW and WAR, or once per span it wrote), so the list is
+  // sorted and de-duplicated before the edges are added: one edge per pair,
+  // and each successor list holds distinct ids.
+  std::vector<TaskId> deps;
+
+  const auto tracker_for = [&](mem::BufferId buffer) -> BufferTracker& {
+    if (buffer >= trackers.size()) trackers.resize(buffer + 1);
+    BufferTracker& tracker = trackers[buffer];
+    if (!tracker.touched) {
+      tracker.touched = true;
+      touched.push_back(buffer);
+    }
+    return tracker;
+  };
 
   for (const ProgramOp& op : program.ops()) {
     const TaskId id = nodes_.size();
@@ -37,16 +58,22 @@ TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
       node.is_barrier = true;
       nodes_.push_back(std::move(node));
       // The barrier waits for everything since the previous barrier (earlier
-      // work is covered transitively through that barrier).
-      std::set<TaskId> deps(since_barrier.begin(), since_barrier.end());
-      if (last_barrier) deps.insert(*last_barrier);
-      for (TaskId dep : deps) add_edge(dep, id);
+      // work is covered transitively through that barrier). These ids are
+      // all distinct.
+      if (last_barrier) add_edge(*last_barrier, id);
+      for (TaskId dep : since_barrier) add_edge(dep, id);
       last_barrier = id;
       since_barrier.clear();
       // A barrier flushes all device copies; subsequent tasks re-source data
       // from the host, and their ordering against pre-barrier tasks flows
       // through the barrier edge — so reset the data-dependency trackers.
-      trackers.clear();
+      for (mem::BufferId buffer : touched) {
+        BufferTracker& tracker = trackers[buffer];
+        tracker.last_writer.clear();
+        tracker.readers.clear();
+        tracker.touched = false;
+      }
+      touched.clear();
       continue;
     }
 
@@ -69,40 +96,46 @@ TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
       nodes_.push_back(std::move(node));
     }
 
-    std::set<TaskId> deps;
-    if (last_barrier) deps.insert(*last_barrier);
+    deps.clear();
+    if (last_barrier) deps.push_back(*last_barrier);
 
     for (const mem::RegionAccess& access : nodes_[id].accesses) {
       if (access.region.empty()) continue;
-      BufferTracker& tracker = trackers[access.region.buffer];
+      BufferTracker& tracker = tracker_for(access.region.buffer);
       const Interval range = access.region.range;
 
-      if (access.reads()) {
-        // RAW on every overlapping earlier writer.
-        for (TaskId writer : tracker.last_writer.values_overlapping(range))
-          deps.insert(writer);
-      }
+      // RAW (reads) and WAW (writes) on every overlapping earlier writer.
+      tracker.last_writer.for_each_overlapping(
+          range, [&deps](Interval, TaskId writer) { deps.push_back(writer); });
       if (access.writes()) {
-        // WAW on earlier writers.
-        for (TaskId writer : tracker.last_writer.values_overlapping(range))
-          deps.insert(writer);
         // WAR on readers since the last write; subtract the written range
-        // from their records so they don't produce edges again.
-        std::vector<std::pair<Interval, TaskId>> kept;
-        kept.reserve(tracker.readers.size());
-        for (auto& [read_range, reader] : tracker.readers) {
-          if (read_range.overlaps(range)) {
-            deps.insert(reader);
-            if (read_range.begin < range.begin)
-              kept.emplace_back(Interval{read_range.begin, range.begin},
-                                reader);
-            if (read_range.end > range.end)
-              kept.emplace_back(Interval{range.end, read_range.end}, reader);
-          } else {
-            kept.emplace_back(read_range, reader);
+        // from their records so they don't produce edges again. Records
+        // compact in place; a record the write splits in two appends its
+        // right-hand piece past the ones still to scan.
+        auto& readers = tracker.readers;
+        const std::size_t scanned = readers.size();
+        std::size_t kept = 0;
+        for (std::size_t r = 0; r < scanned; ++r) {
+          const auto [read_range, reader] = readers[r];
+          if (!read_range.overlaps(range)) {
+            readers[kept++] = readers[r];
+            continue;
+          }
+          deps.push_back(reader);
+          const Interval left{read_range.begin, range.begin};
+          const Interval right{range.end, read_range.end};
+          if (!left.empty()) readers[kept++] = {left, reader};
+          if (!right.empty()) {
+            if (left.empty()) {
+              readers[kept++] = {right, reader};
+            } else {
+              readers.emplace_back(right, reader);
+            }
           }
         }
-        tracker.readers = std::move(kept);
+        readers.erase(
+            readers.begin() + static_cast<std::ptrdiff_t>(kept),
+            readers.begin() + static_cast<std::ptrdiff_t>(scanned));
       }
     }
 
@@ -116,7 +149,8 @@ TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
       if (access.reads()) tracker.readers.emplace_back(range, id);
     }
 
-    deps.erase(id);
+    std::sort(deps.begin(), deps.end());
+    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
     for (TaskId dep : deps) add_edge(dep, id);
     since_barrier.push_back(id);
   }
