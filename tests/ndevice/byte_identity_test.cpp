@@ -7,11 +7,14 @@
 #include <vector>
 
 #include "apps/registry.hpp"
+#include "apps/tree_reduction.hpp"
+#include "apps/triangular.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "faults/fault_plan.hpp"
 #include "glinda/multi_device.hpp"
 #include "hw/platform.hpp"
+#include "runtime/report.hpp"
 #include "strategies/strategy_runner.hpp"
 #include "sweep/scenario.hpp"
 #include "sweep/sweep.hpp"
@@ -20,10 +23,10 @@
 /// (CPU + one accelerator) result is byte-identical to what the scalar-β
 /// path produced before the widening. Enforced at every layer the widening
 /// touched — the partition solver (bitwise delegation), the strategy runner
-/// (one-accelerator platforms never enter the multi paths), the sweep
-/// payloads, the seeded "storm" plan (frozen at device_count=2 so cache
-/// keys survive), and the cache key of a reference-platform scenario
-/// (pinned to its literal digest).
+/// (literal digests of two-device SP reports), the sweep payloads, the
+/// seeded "storm" plan (frozen at device_count=2 so cache keys survive),
+/// and the cache key of a reference-platform scenario (pinned to its
+/// literal digest).
 namespace hetsched {
 namespace {
 
@@ -68,25 +71,75 @@ TEST(NDeviceByteIdentity, TwoDeviceSolveDelegatesToScalarBitwise) {
   }
 }
 
-TEST(NDeviceByteIdentity, SingleAcceleratorStrategiesStayOnTheScalarPath) {
-  const hw::PlatformSpec platform = hw::make_reference_platform();
-  // SP-Single wants a single-kernel app; SP-Unified/SP-Varied want a
-  // multi-kernel one (StreamSeq's four-kernel chain).
-  const std::pair<analyzer::StrategyKind, apps::PaperApp> probes[] = {
-      {analyzer::StrategyKind::kSPSingle, apps::PaperApp::kMatrixMul},
-      {analyzer::StrategyKind::kSPUnified, apps::PaperApp::kStreamSeq},
-      {analyzer::StrategyKind::kSPVaried, apps::PaperApp::kStreamSeq},
+/// FNV-1a digest of one strategy run's full JSON report.
+std::uint64_t report_digest(apps::Application& app,
+                            analyzer::StrategyKind kind) {
+  strategies::StrategyRunner runner(app);
+  const strategies::StrategyResult result = runner.run(kind);
+  return sweep::fnv1a64(
+      rt::report_to_json(result.report, app.executor().kernels()));
+}
+
+std::unique_ptr<apps::Application> paper_app(apps::PaperApp app,
+                                             const hw::PlatformSpec& platform) {
+  return apps::make_paper_app(app, platform, apps::test_config(app));
+}
+
+TEST(NDeviceByteIdentity, TwoDeviceStrategyReportsArePinned) {
+  // Literal digests of two-device SP reports, recorded before the SP
+  // strategies were folded onto the N-device solve. Every SP flavour is
+  // covered, plus the weighted solve (triangular-mv) and SP-Varied's
+  // narrow-kernel Only-CPU branch (tree-reduction's 1-item pass).
+  using analyzer::StrategyKind;
+  using apps::PaperApp;
+  const hw::PlatformSpec reference = hw::make_reference_platform();
+
+  apps::Application::Config triangular;
+  triangular.items = 16'384;
+  triangular.iterations = 1;
+  triangular.functional = false;
+  apps::Application::Config tree;
+  tree.items = 100'000;
+  tree.iterations = 1;
+  tree.functional = true;
+
+  struct Pin {
+    const char* label;
+    std::unique_ptr<apps::Application> app;
+    StrategyKind kind;
+    std::uint64_t digest;
   };
-  for (const auto& [kind, app_kind] : probes) {
-    const std::unique_ptr<apps::Application> app =
-        apps::make_paper_app(app_kind, platform, apps::test_config(app_kind));
-    strategies::StrategyRunner runner(*app);
-    const strategies::StrategyResult result = runner.run(kind);
-    // The multi fields are the multi path's signature; on one accelerator
-    // the scalar path must run and leave them untouched.
-    EXPECT_FALSE(result.multi_decision.has_value());
-    EXPECT_TRUE(result.multi_decisions.empty());
-    EXPECT_FALSE(result.decisions.empty());
+  Pin pins[] = {
+      {"SP-Single matrixmul@reference",
+       paper_app(PaperApp::kMatrixMul, reference), StrategyKind::kSPSingle,
+       0x9d32fa8b8ddd0569ULL},
+      {"SP-Single triangular-mv@reference",
+       std::make_unique<apps::TriangularMvApp>(reference, triangular),
+       StrategyKind::kSPSingle, 0x0fef47c4d1287736ULL},
+      {"SP-Single blackscholes@small-gpu",
+       paper_app(PaperApp::kBlackScholes, hw::make_small_gpu_platform()),
+       StrategyKind::kSPSingle, 0x9999360f27f6e2fdULL},
+      {"SP-Single nbody@big-little",
+       paper_app(PaperApp::kNbody, hw::make_big_little_platform()),
+       StrategyKind::kSPSingle, 0xf30f6fe0b1589a88ULL},
+      {"SP-Unified stream-seq@reference",
+       paper_app(PaperApp::kStreamSeq, reference), StrategyKind::kSPUnified,
+       0x8f5345add7072f38ULL},
+      {"SP-Unified stream-loop@reference",
+       paper_app(PaperApp::kStreamLoop, reference), StrategyKind::kSPUnified,
+       0x01bdef309e93df63ULL},
+      {"SP-Varied stream-seq@reference",
+       paper_app(PaperApp::kStreamSeq, reference), StrategyKind::kSPVaried,
+       0xfa063afbba65547eULL},
+      {"SP-Varied tree-reduction@reference",
+       std::make_unique<apps::TreeReductionApp>(reference, tree),
+       StrategyKind::kSPVaried, 0xf59aced45272bd91ULL},
+  };
+  for (Pin& pin : pins) {
+    ASSERT_EQ(pin.app->executor().platform().device_count(), 2u) << pin.label;
+    const std::uint64_t digest = report_digest(*pin.app, pin.kind);
+    EXPECT_EQ(digest, pin.digest)
+        << pin.label << ": 0x" << std::hex << digest << "ULL";
   }
 }
 
