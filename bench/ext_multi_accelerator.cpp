@@ -33,15 +33,10 @@ int main(int argc, char** argv) {
       const auto result = runner.run(StrategyKind::kSPSingle);
 
       std::string split;
-      if (result.multi_decision) {
-        const auto& d = *result.multi_decision;
-        for (std::size_t i = 0; i < d.device_count(); ++i) {
-          if (i != 0) split += " / ";
-          split += format_percent(d.share(i, app->items()), 0);
-        }
-      } else {
-        split = format_percent(1.0 - result.gpu_fraction_overall, 0) +
-                " / " + format_percent(result.gpu_fraction_overall, 0);
+      const auto& d = result.decisions.at(0);
+      for (std::size_t i = 0; i < d.device_count(); ++i) {
+        if (i != 0) split += " / ";
+        split += format_percent(d.share(i, app->items()), 0);
       }
       table.add_row({apps::paper_app_name(kind), label, split,
                      bench::ms(result.time_ms())});

@@ -11,7 +11,7 @@
 #include "apps/registry.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "glinda/partition_model.hpp"
+#include "glinda/multi_device.hpp"
 #include "hw/platform.hpp"
 #include "strategies/strategy_runner.hpp"
 
@@ -34,11 +34,11 @@ int main() {
                                       apps::paper_config(kind));
       strategies::StrategyRunner runner(*app);
       const auto result = runner.run(analyzer::StrategyKind::kSPSingle);
-      const glinda::PartitionDecision& decision = result.decisions.at(0);
+      const glinda::MultiPartitionDecision& decision = result.decisions.at(0);
       table.add_row(
           {std::string(apps::paper_app_name(kind)), label,
-           std::string(glinda::hardware_config_name(decision.config)),
-           format_percent(decision.gpu_fraction(app->items())),
+           std::string(glinda::hardware_config_name(decision.config())),
+           format_percent(decision.share(1, app->items())),
            format_fixed(result.time_ms(), 1)});
     }
   }

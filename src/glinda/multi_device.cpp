@@ -5,8 +5,18 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "obs/phase_profiler.hpp"
 
 namespace hetsched::glinda {
+
+HardwareConfig MultiPartitionDecision::config() const {
+  const std::int64_t on_cpu = items_per_device.at(0);
+  if (on_cpu == std::accumulate(items_per_device.begin(),
+                                items_per_device.end(), std::int64_t{0}))
+    return HardwareConfig::kOnlyCpu;
+  if (on_cpu == 0) return HardwareConfig::kOnlyGpu;
+  return HardwareConfig::kPartition;
+}
 
 double MultiDeviceEstimate::effective_seconds_per_item(std::size_t d) const {
   HS_REQUIRE(d < devices.size(), "unknown device " << d);
@@ -57,6 +67,7 @@ double MultiPartitionModel::predict_seconds(
 
 MultiPartitionDecision MultiPartitionModel::solve(
     const MultiDeviceEstimate& estimate, std::int64_t n) const {
+  const obs::ScopedPhase phase(obs::kPhasePartitionSolve);
   HS_REQUIRE(n > 0, "partitioning a workload of " << n);
   const std::size_t count = estimate.devices.size();
   HS_REQUIRE(count >= 1, "need at least the host CPU profile");
@@ -146,6 +157,7 @@ MultiPartitionDecision MultiPartitionModel::solve(
   std::int64_t assigned = 0;
   for (std::size_t d = 1; d < count; ++d) {
     if (!active[d]) continue;
+    decision.beta += shares[d];
     const auto granularity =
         static_cast<std::int64_t>(options_.gpu_granularity);
     std::int64_t items = static_cast<std::int64_t>(
@@ -193,17 +205,22 @@ KernelEstimate to_kernel_estimate(const MultiDeviceEstimate& estimate) {
 
 MultiPartitionDecision solve_multi_partition(
     const MultiDeviceEstimate& estimate, std::int64_t n,
-    PartitionOptions options) {
+    PartitionOptions options,
+    const std::function<double(std::int64_t)>& prefix_weight) {
   if (estimate.devices.size() != 2)
     return MultiPartitionModel(options).solve(estimate, n);
 
-  // Two devices: the scalar closed-form β path, verbatim. This is what
-  // makes the N=2 byte-identity guarantee hold by construction rather than
-  // by numerical luck — same solver, same rounding, same prediction.
+  // Two devices: the scalar β path, verbatim. This is what makes the N=2
+  // byte-identity guarantee hold by construction rather than by numerical
+  // luck — same solver, same rounding, same prediction.
+  const KernelEstimate pair = to_kernel_estimate(estimate);
+  const PartitionModel model(options);
   const PartitionDecision scalar =
-      PartitionModel(options).solve(to_kernel_estimate(estimate), n);
+      prefix_weight ? model.solve_weighted(pair, n, prefix_weight)
+                    : model.solve(pair, n);
   MultiPartitionDecision decision;
   decision.items_per_device = {scalar.cpu_items, scalar.gpu_items};
+  decision.beta = scalar.beta;
   switch (scalar.config) {
     case HardwareConfig::kOnlyCpu:
       decision.predicted_seconds = scalar.predicted_cpu_seconds;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "glinda/partition_model.hpp"
@@ -50,6 +51,10 @@ struct MultiPartitionDecision {
   std::vector<std::int64_t> items_per_device;
   /// Predicted makespan of the split, seconds.
   double predicted_seconds = 0.0;
+  /// The un-rounded accelerator share the paper's ratio reporting uses:
+  /// PartitionModel's β at N=2 (bit for bit); at N>=3 the balanced
+  /// accelerator shares summed before integer rounding.
+  double beta = 0.0;
 
   double share(std::size_t d, std::int64_t n) const {
     return n == 0 ? 0.0
@@ -57,6 +62,9 @@ struct MultiPartitionDecision {
                         static_cast<double>(n);
   }
   std::size_t device_count() const { return items_per_device.size(); }
+  /// The scalar hardware-configuration view: everything on device 0 is
+  /// Only-CPU, nothing on device 0 is Only-GPU, anything else a partition.
+  HardwareConfig config() const;
 };
 
 /// The scalar two-device view of a CPU+1-accelerator estimate (device 0 =
@@ -65,14 +73,17 @@ KernelEstimate to_kernel_estimate(const MultiDeviceEstimate& estimate);
 
 /// Single entry point for strategy-level partitioning across any device
 /// count. For exactly TWO devices (CPU + one accelerator) this delegates to
-/// the scalar closed-form β solver (`PartitionModel::solve`), so two-device
-/// splits — items AND predicted seconds — are bit-identical with the legacy
-/// CPU+GPU path; for three or more devices it runs MultiPartitionModel's
-/// balanced-finish bisection with the shared-link repair. The returned
-/// decision always covers all `estimate.devices` (dropped devices get 0).
+/// the scalar closed-form β solver (`PartitionModel::solve`, or
+/// `solve_weighted` when `prefix_weight` is given), so two-device splits —
+/// items, β AND predicted seconds — are bit-identical with the scalar
+/// model; for three or more devices it runs MultiPartitionModel's
+/// balanced-finish bisection with the shared-link repair and ignores
+/// `prefix_weight`. The returned decision always covers all
+/// `estimate.devices` (dropped devices get 0).
 MultiPartitionDecision solve_multi_partition(
     const MultiDeviceEstimate& estimate, std::int64_t n,
-    PartitionOptions options = {});
+    PartitionOptions options = {},
+    const std::function<double(std::int64_t)>& prefix_weight = nullptr);
 
 class MultiPartitionModel {
  public:

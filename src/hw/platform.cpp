@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 
 namespace hetsched::hw {
 
@@ -283,9 +284,8 @@ PlatformSpec platform_by_name(const std::string& name) {
                                       << "': expected synth-<decimal seed>");
     return make_synthetic_platform(std::stoull(digits));
   }
-  throw InvalidArgument("unknown platform '" + name +
-                        "' (reference, small-gpu, dual-gpu, cpu-gpu-phi, "
-                        "cpu-only, big-little, quad, synth-<seed>)");
+  throw InvalidArgument("unknown platform '" + name + "' (" +
+                        join(platform_names(), ", ") + ", synth-<seed>)");
 }
 
 const std::vector<std::string>& platform_names() {

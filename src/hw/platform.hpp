@@ -150,10 +150,10 @@ PlatformSpec make_quad_platform();
 /// platform_by_name and the sweep scenario key (which embeds the full spec).
 PlatformSpec make_synthetic_platform(std::uint64_t seed);
 
-/// Looks a shipped platform variant up by name: "reference" (or ""),
-/// "small-gpu", "dual-gpu", "cpu-gpu-phi", "cpu-only", "big-little",
-/// "quad", or a parametric "synth-<decimal seed>" (see
-/// make_synthetic_platform). Throws InvalidArgument on an unknown name.
+/// Looks a shipped platform variant up by name: one of `platform_names()`
+/// ("" also selects "reference") or a parametric "synth-<decimal seed>"
+/// (see make_synthetic_platform). Throws InvalidArgument on an unknown
+/// name, listing the valid ones.
 PlatformSpec platform_by_name(const std::string& name);
 
 /// The preset names accepted by `platform_by_name`, in presentation order

@@ -89,10 +89,6 @@ void StrategyRunner::require_accelerator() const {
                  << app_.executor().platform().name << "' has none");
 }
 
-bool StrategyRunner::multi_accelerator() const {
-  return app_.executor().platform().accelerators.size() > 1;
-}
-
 StrategyResult StrategyRunner::run(StrategyKind kind) {
   app_.reset_data();
   switch (kind) {
@@ -145,7 +141,7 @@ StrategyRunner::MatchedRun StrategyRunner::run_matched() {
 
 StrategyResult StrategyRunner::finalize(
     StrategyKind kind, rt::ExecutionReport report,
-    std::vector<glinda::PartitionDecision> decisions) {
+    std::vector<glinda::MultiPartitionDecision> decisions) {
   StrategyResult result;
   result.kind = kind;
   // "GPU share" counts all accelerators (everything that is not the CPU).
@@ -180,24 +176,7 @@ StrategyResult StrategyRunner::run_only(hw::DeviceId device,
   return finalize(kind, measured_execute_pinned(program), {});
 }
 
-void StrategyRunner::submit_split(rt::Program& program,
-                                  std::size_t kernel_index,
-                                  std::int64_t gpu_items,
-                                  hw::DeviceId accelerator) const {
-  const rt::KernelId kernel = app_.kernels()[kernel_index];
-  const std::int64_t n = app_.items_of(kernel_index);
-  gpu_items = std::min(gpu_items, n);
-  if (gpu_items > 0) program.submit(kernel, 0, gpu_items, accelerator);
-  const std::int64_t cpu_items = n - gpu_items;
-  if (cpu_items <= 0) return;
-  const int m = options_.task_count;
-  for (int i = 0; i < m; ++i) {
-    program.submit(kernel, gpu_items + cpu_items * i / m,
-                   gpu_items + cpu_items * (i + 1) / m, hw::kCpuDevice);
-  }
-}
-
-void StrategyRunner::submit_multi_split(
+void StrategyRunner::submit_split(
     rt::Program& program, std::size_t kernel_index,
     const std::vector<std::int64_t>& items_per_device) const {
   const rt::KernelId kernel = app_.kernels()[kernel_index];
@@ -217,28 +196,7 @@ void StrategyRunner::submit_multi_split(
   }
 }
 
-glinda::KernelEstimate StrategyRunner::estimate_for(
-    const glinda::SampleProgramFactory& factory,
-    bool transfer_on_critical_path, std::int64_t total_items,
-    hw::DeviceId accelerator) const {
-  glinda::Profiler profiler(options_.profile);
-  rt::Executor& executor = app_.executor();
-  glinda::KernelEstimate estimate;
-  estimate.cpu = profiler.profile_device(executor, factory, hw::kCpuDevice,
-                                         total_items);
-  estimate.gpu =
-      profiler.profile_device(executor, factory, accelerator, total_items);
-  const glinda::LinkProfile link =
-      profiler.profile_link(executor, factory, accelerator, total_items);
-  estimate.link_bytes_per_second =
-      link.bytes_per_second > 0.0
-          ? link.bytes_per_second
-          : executor.platform().link.bandwidth_gbs * 1e9;
-  estimate.transfer_on_critical_path = transfer_on_critical_path;
-  return estimate;
-}
-
-glinda::MultiDeviceEstimate StrategyRunner::multi_estimate_for(
+glinda::MultiDeviceEstimate StrategyRunner::estimate_for(
     const glinda::SampleProgramFactory& factory,
     bool transfer_on_critical_path, std::int64_t total_items) const {
   glinda::Profiler profiler(options_.profile);
@@ -266,23 +224,22 @@ StrategyResult StrategyRunner::run_sp_single() {
   HS_REQUIRE(app_.kernels().size() == 1,
              "SP-Single applies to single-kernel applications; '"
                  << app_.name() << "' has " << app_.kernels().size());
-  if (multi_accelerator()) return run_sp_single_multi();
   // Profiling one iteration captures exactly the per-iteration transfer
   // pattern (SK-Loop applications pay them every iteration).
-  const glinda::KernelEstimate estimate = estimate_for(
-      app_.single_kernel_factory(0), true, app_.items(), kFirstAccelerator);
-  glinda::PartitionModel model(options_.partition);
+  const glinda::MultiDeviceEstimate estimate =
+      estimate_for(app_.single_kernel_factory(0),
+                   /*transfer_on_critical_path=*/true, app_.items());
   // Imbalanced applications publish their prefix-weight function and get
-  // the work-balancing solver; uniform ones get the closed form.
-  const auto weights = app_.prefix_weight();
-  const glinda::PartitionDecision decision =
-      weights ? model.solve_weighted(estimate, app_.items(), weights)
-              : model.solve(estimate, app_.items());
+  // the work-balancing solver on two-device platforms; uniform ones get
+  // the closed form.
+  const glinda::MultiPartitionDecision decision =
+      glinda::solve_multi_partition(estimate, app_.items(),
+                                    options_.partition, app_.prefix_weight());
 
   app_.reset_data();
   const auto submit = [&](rt::Program& program, std::size_t index,
                           rt::KernelId) {
-    submit_split(program, index, decision.gpu_items, kFirstAccelerator);
+    submit_split(program, index, decision.items_per_device);
   };
   const rt::Program program =
       app_.build_program(submit, options_.sync_between_kernels);
@@ -290,83 +247,30 @@ StrategyResult StrategyRunner::run_sp_single() {
                   {decision});
 }
 
-/// SP-Single generalized to platforms with several accelerators: profile
-/// every device, solve the balanced multi-way split, and submit one slab
-/// per accelerator plus m CPU instances.
-StrategyResult StrategyRunner::run_sp_single_multi() {
-  const glinda::MultiDeviceEstimate estimate = multi_estimate_for(
-      app_.single_kernel_factory(0), /*transfer_on_critical_path=*/true,
-      app_.items());
-  const glinda::MultiPartitionDecision decision =
-      glinda::solve_multi_partition(estimate, app_.items(),
-                                    options_.partition);
-
-  app_.reset_data();
-  const auto submit = [&](rt::Program& program, std::size_t index,
-                          rt::KernelId) {
-    submit_multi_split(program, index, decision.items_per_device);
-  };
-  const rt::Program program =
-      app_.build_program(submit, options_.sync_between_kernels);
-  StrategyResult result = finalize(StrategyKind::kSPSingle,
-                                   measured_execute_pinned(program), {});
-  result.multi_decision = decision;
-  return result;
-}
-
 StrategyResult StrategyRunner::run_sp_unified() {
   require_accelerator();
   HS_REQUIRE(app_.kernels().size() > 1,
              "SP-Unified applies to multi-kernel applications");
-  if (multi_accelerator()) return run_sp_unified_multi();
   // The kernels are regarded as one fused kernel. In a main loop without
   // per-iteration synchronization, data stays resident across iterations,
   // so the unified partitioning is determined without the data transfers
   // (paper Section IV-B4); one-shot sequences keep them on the path.
   const bool transfers_on_path =
       !(app_.iterations() > 1 && !app_.sync_each_iteration());
-  const glinda::KernelEstimate estimate = estimate_for(
-      app_.fused_factory(), transfers_on_path, app_.items(),
-      kFirstAccelerator);
-  glinda::PartitionModel model(options_.partition);
-  const glinda::PartitionDecision decision =
-      model.solve(estimate, app_.items());
-
-  app_.reset_data();
-  // One unified partitioning POINT: the same fraction of every kernel's
-  // item space goes to the GPU (identical counts when kernels share the
-  // item space; proportional for multi-pass kernels).
-  const double fraction = decision.gpu_fraction(app_.items());
-  const auto submit = [&](rt::Program& program, std::size_t index,
-                          rt::KernelId) {
-    const auto share = static_cast<std::int64_t>(
-        fraction * static_cast<double>(app_.items_of(index)) + 0.5);
-    submit_split(program, index, share, kFirstAccelerator);
-  };
-  const rt::Program program =
-      app_.build_program(submit, options_.sync_between_kernels);
-  return finalize(StrategyKind::kSPUnified, measured_execute_pinned(program),
-                  {decision});
-}
-
-/// SP-Unified generalized: one vector split of the FUSED kernel sequence,
-/// and the same per-device fractions applied to every kernel's item space.
-StrategyResult StrategyRunner::run_sp_unified_multi() {
-  const bool transfers_on_path =
-      !(app_.iterations() > 1 && !app_.sync_each_iteration());
   const glinda::MultiDeviceEstimate estimate =
-      multi_estimate_for(app_.fused_factory(), transfers_on_path,
-                         app_.items());
+      estimate_for(app_.fused_factory(), transfers_on_path, app_.items());
   const glinda::MultiPartitionDecision decision =
       glinda::solve_multi_partition(estimate, app_.items(),
                                     options_.partition);
 
   app_.reset_data();
+  // One unified partitioning POINT: each accelerator gets the same
+  // fraction of every kernel's item space (identical counts when kernels
+  // share the item space; proportional for multi-pass kernels), and the
+  // CPU absorbs the rounding remainder.
   const std::int64_t total = app_.items();
   const auto submit = [&](rt::Program& program, std::size_t index,
                           rt::KernelId) {
-    // Scale each device's unified share to this kernel's item space; the
-    // CPU absorbs the rounding remainder.
     const std::int64_t nk = app_.items_of(index);
     std::vector<std::int64_t> items(decision.device_count(), 0);
     std::int64_t assigned = 0;
@@ -378,75 +282,38 @@ StrategyResult StrategyRunner::run_sp_unified_multi() {
       assigned += share;
     }
     items[hw::kCpuDevice] = nk - assigned;
-    submit_multi_split(program, index, items);
+    submit_split(program, index, items);
   };
   const rt::Program program =
       app_.build_program(submit, options_.sync_between_kernels);
-  StrategyResult result = finalize(StrategyKind::kSPUnified,
-                                   measured_execute_pinned(program), {});
-  result.multi_decision = decision;
-  return result;
+  return finalize(StrategyKind::kSPUnified, measured_execute_pinned(program),
+                  {decision});
 }
 
 StrategyResult StrategyRunner::run_sp_varied() {
   require_accelerator();
   HS_REQUIRE(app_.kernels().size() > 1,
              "SP-Varied applies to multi-kernel applications");
-  if (multi_accelerator()) return run_sp_varied_multi();
   // Per-kernel optimal splits; each kernel is profiled in isolation, with
   // its transfers on the critical path (the synchronization between kernels
   // flushes data home every time).
-  glinda::PartitionModel model(options_.partition);
-  std::vector<glinda::PartitionDecision> decisions;
-  decisions.reserve(app_.kernels().size());
-  for (std::size_t k = 0; k < app_.kernels().size(); ++k) {
-    const std::int64_t nk = app_.items_of(k);
-    if (nk < 4) {
-      // Too narrow to profile or to feed an accelerator: the hardware-
-      // configuration decision is Only-CPU without measurement.
-      glinda::PartitionDecision tiny;
-      tiny.config = glinda::HardwareConfig::kOnlyCpu;
-      tiny.cpu_items = nk;
-      decisions.push_back(tiny);
-      continue;
-    }
-    const glinda::KernelEstimate estimate = estimate_for(
-        app_.single_kernel_factory(k), true, nk, kFirstAccelerator);
-    decisions.push_back(model.solve(estimate, nk));
-  }
-
-  app_.reset_data();
-  const auto submit = [&](rt::Program& program, std::size_t index,
-                          rt::KernelId) {
-    submit_split(program, index, decisions[index].gpu_items,
-                 kFirstAccelerator);
-  };
-  // SP-Varied requires inter-kernel synchronization by construction.
-  const rt::Program program =
-      app_.build_program(submit, /*sync_between_kernels=*/true);
-  return finalize(StrategyKind::kSPVaried, measured_execute_pinned(program),
-                  std::move(decisions));
-}
-
-/// SP-Varied generalized: every kernel gets its own vector split across
-/// all devices, with the inter-kernel synchronization SP-Varied implies.
-StrategyResult StrategyRunner::run_sp_varied_multi() {
   const std::size_t device_count = app_.executor().platform().device_count();
   std::vector<glinda::MultiPartitionDecision> decisions;
   decisions.reserve(app_.kernels().size());
   for (std::size_t k = 0; k < app_.kernels().size(); ++k) {
     const std::int64_t nk = app_.items_of(k);
     if (nk < 4) {
-      // Too narrow to profile or to feed an accelerator: all on the CPU.
+      // Too narrow to profile or to feed an accelerator: the hardware-
+      // configuration decision is Only-CPU without measurement.
       glinda::MultiPartitionDecision tiny;
       tiny.items_per_device.assign(device_count, 0);
       tiny.items_per_device[hw::kCpuDevice] = nk;
       decisions.push_back(std::move(tiny));
       continue;
     }
-    const glinda::MultiDeviceEstimate estimate = multi_estimate_for(
-        app_.single_kernel_factory(k), /*transfer_on_critical_path=*/true,
-        nk);
+    const glinda::MultiDeviceEstimate estimate =
+        estimate_for(app_.single_kernel_factory(k),
+                     /*transfer_on_critical_path=*/true, nk);
     decisions.push_back(
         glinda::solve_multi_partition(estimate, nk, options_.partition));
   }
@@ -454,14 +321,13 @@ StrategyResult StrategyRunner::run_sp_varied_multi() {
   app_.reset_data();
   const auto submit = [&](rt::Program& program, std::size_t index,
                           rt::KernelId) {
-    submit_multi_split(program, index, decisions[index].items_per_device);
+    submit_split(program, index, decisions[index].items_per_device);
   };
+  // SP-Varied requires inter-kernel synchronization by construction.
   const rt::Program program =
       app_.build_program(submit, /*sync_between_kernels=*/true);
-  StrategyResult result = finalize(StrategyKind::kSPVaried,
-                                   measured_execute_pinned(program), {});
-  result.multi_decisions = std::move(decisions);
-  return result;
+  return finalize(StrategyKind::kSPVaried, measured_execute_pinned(program),
+                  std::move(decisions));
 }
 
 RateTable StrategyRunner::probe_rates(int instances_per_pair) const {

@@ -18,9 +18,9 @@
 /// chunks are pinned), runs any profiling it needs, executes, and reports.
 ///
 /// Implementation map (paper -> this module):
-///   SP-Single   Glinda profiling + optimal split of the single kernel; the
-///               GPU task is one pinned instance, the CPU side is m pinned
-///               instances (one per thread).
+///   SP-Single   Glinda profiling + optimal split of the single kernel;
+///               each accelerator's slab is one pinned instance, the CPU
+///               side is m pinned instances (one per thread).
 ///   SP-Unified  The kernels are fused for profiling; one unified split is
 ///               applied to every kernel; no synchronization between
 ///               kernels, so data stays resident per device.
@@ -68,15 +68,10 @@ struct StrategyResult {
   std::vector<double> gpu_fraction_per_kernel;
   /// Accelerator share across all kernels (all non-CPU devices combined).
   double gpu_fraction_overall = 0.0;
-  /// Glinda decisions (static strategies; one per kernel for SP-Varied,
-  /// a single entry otherwise). Empty for the multi-accelerator static
-  /// strategies, which report through `multi_decision`/`multi_decisions`.
-  std::vector<glinda::PartitionDecision> decisions;
-  /// Multi-accelerator split (SP-Single / SP-Unified on platforms with 2+
-  /// accelerators; SP-Unified scales the fused shares to each kernel).
-  std::optional<glinda::MultiPartitionDecision> multi_decision;
-  /// Per-kernel multi-accelerator splits (SP-Varied on 2+ accelerators).
-  std::vector<glinda::MultiPartitionDecision> multi_decisions;
+  /// Glinda decisions: one per kernel for SP-Varied, a single entry for
+  /// SP-Single and SP-Unified (SP-Unified scales the fused shares to each
+  /// kernel), none for DP, SP-DAG and the baselines.
+  std::vector<glinda::MultiPartitionDecision> decisions;
 
   double time_ms() const { return report.makespan_ms(); }
 };
@@ -108,19 +103,15 @@ class StrategyRunner {
   /// phase shared by DP-Perf, the SP-DAG planner, and decision explanation.
   RateTable probe_rates(int instances_per_pair) const;
 
-  /// The accelerator the scalar (CPU + one accelerator) paths target. On
-  /// 1-accelerator platforms this is THE accelerator; multi-accelerator
-  /// paths iterate every device instead of using it.
+  /// The accelerator Only-GPU runs on and the shared host link is
+  /// profiled through. On 1-accelerator platforms this is THE accelerator.
   static constexpr hw::DeviceId kFirstAccelerator = 1;
 
  private:
   StrategyResult run_only(hw::DeviceId device, analyzer::StrategyKind kind);
   StrategyResult run_sp_single();
-  StrategyResult run_sp_single_multi();
   StrategyResult run_sp_unified();
-  StrategyResult run_sp_unified_multi();
   StrategyResult run_sp_varied();
-  StrategyResult run_sp_varied_multi();
   StrategyResult run_sp_dag();
   StrategyResult run_dp(analyzer::StrategyKind kind);
 
@@ -129,40 +120,26 @@ class StrategyRunner {
   rt::ExecutionReport measured_execute(const rt::Program& program,
                                        rt::Scheduler& scheduler);
 
-  /// Submits instances of the kernel at sequence position `kernel_index`,
-  /// split at `gpu_items`: [0, gpu_items) as one instance pinned to
-  /// `accelerator`, the rest of that kernel's item space as m CPU
-  /// instances.
-  void submit_split(rt::Program& program, std::size_t kernel_index,
-                    std::int64_t gpu_items, hw::DeviceId accelerator) const;
-
-  /// Submits one contiguous slab per accelerator (front of the item space,
-  /// device order) and m CPU instances over the tail, exactly following
+  /// Submits the kernel at sequence position `kernel_index` as one
+  /// contiguous slab per accelerator (front of the item space, device
+  /// order) and m CPU instances over the tail, exactly following
   /// `items_per_device` (index 0 = CPU share).
-  void submit_multi_split(rt::Program& program, std::size_t kernel_index,
-                          const std::vector<std::int64_t>& items_per_device)
-      const;
+  void submit_split(rt::Program& program, std::size_t kernel_index,
+                    const std::vector<std::int64_t>& items_per_device) const;
 
-  /// Profiles one kernel (or the fused sequence) on the CPU and the given
-  /// accelerator and builds the scalar model input; `total_items` is the
-  /// item space the factory's slices index.
-  glinda::KernelEstimate estimate_for(
-      const glinda::SampleProgramFactory& factory,
-      bool transfer_on_critical_path, std::int64_t total_items,
-      hw::DeviceId accelerator) const;
-
-  /// Profiles EVERY device in the platform (CPU first) and builds the
-  /// vector model input for glinda::solve_multi_partition.
-  glinda::MultiDeviceEstimate multi_estimate_for(
+  /// Profiles one kernel (or the fused sequence) on EVERY device in the
+  /// platform (CPU first) and builds the input of
+  /// glinda::solve_multi_partition; `total_items` is the item space the
+  /// factory's slices index.
+  glinda::MultiDeviceEstimate estimate_for(
       const glinda::SampleProgramFactory& factory,
       bool transfer_on_critical_path, std::int64_t total_items) const;
 
-  StrategyResult finalize(analyzer::StrategyKind kind,
-                          rt::ExecutionReport report,
-                          std::vector<glinda::PartitionDecision> decisions);
+  StrategyResult finalize(
+      analyzer::StrategyKind kind, rt::ExecutionReport report,
+      std::vector<glinda::MultiPartitionDecision> decisions);
 
   void require_accelerator() const;
-  bool multi_accelerator() const;
 
   apps::Application& app_;
   StrategyOptions options_;

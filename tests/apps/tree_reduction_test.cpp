@@ -49,7 +49,7 @@ TEST(TreeReduction, SPVariedCollapsesNarrowPassesToOnlyCpu) {
   ASSERT_EQ(result.decisions.size(), 3u);
   // The deep passes (25 items, 1 item) cannot feed a GPU warp usefully:
   // the per-kernel hardware-configuration decision goes Only-CPU.
-  EXPECT_EQ(result.decisions[2].config, glinda::HardwareConfig::kOnlyCpu);
+  EXPECT_EQ(result.decisions[2].config(), glinda::HardwareConfig::kOnlyCpu);
   EXPECT_EQ(result.gpu_fraction_per_kernel[2], 0.0);
   app.verify();
 }

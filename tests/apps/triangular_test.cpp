@@ -62,13 +62,13 @@ TEST(TriangularMv, SPSingleUsesWeightedSolver) {
   strategies::StrategyRunner runner(app);
   const auto result = runner.run(StrategyKind::kSPSingle);
   ASSERT_EQ(result.decisions.size(), 1u);
-  ASSERT_GT(result.decisions[0].gpu_items, 0);
+  const std::int64_t gpu_items = result.decisions[0].items_per_device[1];
+  ASSERT_GT(gpu_items, 0);
   // The GPU's head slab holds more ITEMS than its work share: with growing
   // per-item cost, balancing work means item share > work share.
   const auto weight = app.prefix_weight();
-  const double item_share = result.decisions[0].gpu_fraction(app.items());
-  const double work_share =
-      weight(result.decisions[0].gpu_items) / weight(app.items());
+  const double item_share = result.decisions[0].share(1, app.items());
+  const double work_share = weight(gpu_items) / weight(app.items());
   EXPECT_GT(item_share, work_share);
 }
 

@@ -68,6 +68,8 @@ TEST(NDeviceByteIdentity, TwoDeviceSolveDelegatesToScalarBitwise) {
     // Exactly equal — the delegation reuses the scalar solver, it does not
     // re-derive the same answer numerically.
     EXPECT_EQ(multi.predicted_seconds, expected) << "seed " << seed;
+    EXPECT_EQ(multi.beta, scalar.beta) << "seed " << seed;
+    EXPECT_EQ(multi.config(), scalar.config) << "seed " << seed;
   }
 }
 

@@ -87,8 +87,8 @@ TEST(MultiDeviceExample, EndToEndDualGpuRunConservesWorkAndWins) {
     executed += device_report.total_items();
   EXPECT_EQ(executed, config.items);
 
-  ASSERT_TRUE(two_gpu.multi_decision.has_value());
-  const glinda::MultiPartitionDecision& decision = *two_gpu.multi_decision;
+  ASSERT_EQ(two_gpu.decisions.size(), 1u);
+  const glinda::MultiPartitionDecision& decision = two_gpu.decisions[0];
   ASSERT_EQ(decision.device_count(), 3u);
   EXPECT_GT(decision.items_per_device[1], 0);
   EXPECT_GT(decision.items_per_device[2], 0);

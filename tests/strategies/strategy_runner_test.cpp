@@ -155,7 +155,8 @@ TEST_F(StrategyRunnerTest, GpuPartitionIsWarpAligned) {
   auto app = make(PaperApp::kBlackScholes);
   StrategyRunner runner(*app);
   const StrategyResult result = runner.run(StrategyKind::kSPSingle);
-  EXPECT_EQ(result.decisions[0].gpu_items % 32, 0);
+  ASSERT_EQ(result.decisions.size(), 1u);
+  EXPECT_EQ(result.decisions[0].items_per_device[1] % 32, 0);
 }
 
 TEST_F(StrategyRunnerTest, TaskCountControlsChunking) {

@@ -219,8 +219,8 @@ int cmd_list() {
                "extension)\n";
   std::cout << "  unstable-loop  (8388608 items, 8 sweeps; drifting-loop "
                "extension)\n";
-  std::cout << "platforms:\n  reference, small-gpu, dual-gpu, cpu-gpu-phi, "
-               "cpu-only\n";
+  std::cout << "platforms:\n  " << join(hw::platform_names(), ", ")
+            << ", synth-<seed>\n";
   std::cout << "strategies:\n  sp-single, sp-unified, sp-varied, dp-perf, "
                "dp-dep, only-cpu, only-gpu, sp-dag (extension)\n";
   return 0;
