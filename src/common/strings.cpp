@@ -48,6 +48,15 @@ std::string join(const std::vector<std::string>& parts,
   return result;
 }
 
+std::uint64_t fnv1a64(std::string_view text) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (char ch : text) {
+    hash ^= static_cast<unsigned char>(ch);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
 std::string format_time(SimTime t) {
   char buf[64];
   const double ns = static_cast<double>(t);

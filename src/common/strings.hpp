@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 /// String formatting helpers for reports and diagnostics.
@@ -18,5 +20,9 @@ std::string format_percent(double fraction, int decimals = 1);
 /// Joins parts with a separator.
 std::string join(const std::vector<std::string>& parts,
                  const std::string& separator);
+
+/// FNV-1a 64-bit over `text`: the sweep cache's content address and the
+/// shard selector of SingleFlight.
+std::uint64_t fnv1a64(std::string_view text);
 
 }  // namespace hetsched

@@ -51,10 +51,6 @@ inline constexpr std::string_view kMetricServeCacheEntries =
     "serve_cache_entries";
 inline constexpr std::string_view kMetricServeCacheShards =
     "serve_cache_shards";
-inline constexpr std::string_view kMetricServeCacheShardHits =
-    "serve_cache_shard_hits";
-inline constexpr std::string_view kMetricServeCacheShardMisses =
-    "serve_cache_shard_misses";
 
 // --- tracing ---
 inline constexpr std::string_view kMetricServeTracesPublished =

@@ -53,8 +53,10 @@ void PhaseProfiler::reset() {
 }
 
 PhaseProfiler& phase_profiler() {
-  static PhaseProfiler profiler;
-  return profiler;
+  // Never destroyed: a process-lifetime daemon's workers may still record
+  // a phase while static destructors run at exit.
+  static PhaseProfiler* const profiler = new PhaseProfiler;
+  return *profiler;
 }
 
 ScopedPhase::ScopedPhase(std::string_view stage, PhaseProfiler& profiler)

@@ -572,7 +572,6 @@ void Server::set_queue_depth_gauge() {
 }
 
 std::string Server::metrics_prometheus() const {
-  const ShardCacheCounters cache_counters = cache_->counters();
   const std::size_t entries = cache_->entries();
   const std::map<std::string, obs::PhaseStats> phases =
       obs::phase_profiler().snapshot();
@@ -584,10 +583,6 @@ std::string Server::metrics_prometheus() const {
                     static_cast<double>(entries));
   metrics.gauge_set(obs::kMetricServeCacheShards,
                     static_cast<double>(cache_->shard_count()));
-  metrics.gauge_set(obs::kMetricServeCacheShardHits,
-                    static_cast<double>(cache_counters.hits));
-  metrics.gauge_set(obs::kMetricServeCacheShardMisses,
-                    static_cast<double>(cache_counters.misses));
   metrics.gauge_set(obs::kMetricServeQueueDepth,
                     static_cast<double>(queue_->depth()));
   metrics.gauge_set(obs::kMetricServeQueueCapacity,

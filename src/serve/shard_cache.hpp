@@ -3,13 +3,14 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "common/single_flight.hpp"
 
 namespace hetsched::sweep {
 class ResultCache;
@@ -17,14 +18,11 @@ class ResultCache;
 
 /// Sharded in-memory scenario cache for the serve daemon.
 ///
-/// N mutex-guarded shards keyed by the FNV-1a digest of the canonical
-/// request key (sweep::fnv1a64 — the same content address the sweep cache
-/// uses), so concurrent requests for distinct keys proceed on distinct
-/// locks. Each shard is single-flight: the first caller of a key becomes
-/// its owner and computes the value while concurrent identical requests
-/// block on a shared_future instead of racing their own computation —
-/// exactly the sweep::ScenarioMemo discipline, lifted to a long-running
-/// process.
+/// A SingleFlight table (common/single_flight.hpp) sharded by the FNV-1a
+/// digest of the canonical request key, so concurrent requests for distinct
+/// keys proceed on distinct locks and concurrent identical requests join
+/// one computation. The table's failure rule applies: an answer that throws
+/// is never cached, and the next request for that key retries.
 ///
 /// The cache fronts an optional on-disk sweep::ResultCache: an owner first
 /// consults the store (a hit there is a disk_hit, no computation), and
@@ -34,10 +32,10 @@ namespace hetsched::serve {
 
 struct ShardCacheCounters {
   /// Lookups served by an existing in-memory entry (including waiting on a
-  /// computation already in flight).
+  /// computation already in flight, whether or not it succeeds).
   std::int64_t hits = 0;
-  /// Lookups that had to create the entry (owner path). hits + misses ==
-  /// total lookups, always.
+  /// Lookups that had to create the entry (owner path, failed computes
+  /// included). hits + misses == total lookups, always.
   std::int64_t misses = 0;
   /// Owner lookups satisfied by the on-disk store.
   std::int64_t disk_hits = 0;
@@ -78,12 +76,11 @@ class ShardedScenarioCache {
   ShardedScenarioCache(const ShardedScenarioCache&) = delete;
   ShardedScenarioCache& operator=(const ShardedScenarioCache&) = delete;
 
-  /// Returns the cached value for `key`, invoking `compute` exactly once
-  /// per key across all threads (single-flight). A compute that throws is
-  /// propagated to every waiter of that flight and the entry is removed,
-  /// so a later request retries instead of caching the failure.
-  /// `caller_trace` (optional) is recorded as the flight's leader so
-  /// joiners can parent their wait to the owning request's trace.
+  /// Returns the cached value for `key`, invoking `compute` at most once
+  /// per key at a time across all threads (single-flight). A compute that
+  /// throws reaches the owner and every waiter of that flight, and a later
+  /// request retries. `caller_trace` (optional) is recorded as the flight's
+  /// leader so joiners can parent their wait to the owning request's trace.
   Lookup get_or_compute(const std::string& key, const ComputeFn& compute,
                         std::string_view caller_trace = {});
 
@@ -91,31 +88,24 @@ class ShardedScenarioCache {
   /// disk store (no-op without one). Returns the number written.
   std::size_t flush();
 
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Shard index `key` maps to (exposed for tests).
-  std::size_t shard_index(const std::string& key) const;
+  std::size_t shard_count() const { return flights_.shard_count(); }
+  /// Shard index `key` maps to (exposed for request-tree details).
+  std::size_t shard_index(const std::string& key) const {
+    return flights_.shard_index(key);
+  }
   /// Total resident entries across shards.
-  std::size_t entries() const;
+  std::size_t entries() const { return flights_.entries(); }
   ShardCacheCounters counters() const;
 
  private:
-  struct Flight {
-    std::shared_future<ValuePtr> future;
-    /// Trace id of the request that created (owns) this entry.
-    std::string owner_trace;
-  };
-
-  struct Shard {
-    std::mutex mutex;
-    std::unordered_map<std::string, Flight> entries;
-    /// Keys whose value was computed here (not disk-loaded) and not yet
-    /// flushed, paired with the computed value so flush() needs no future.
-    std::vector<std::pair<std::string, ValuePtr>> dirty;
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  SingleFlight<std::string> flights_;
   const sweep::ResultCache* disk_;
-  std::atomic<std::int64_t> hits_{0};
+  /// Keys computed here (not disk-loaded) and not yet flushed, with their
+  /// values.
+  std::mutex dirty_mutex_;
+  std::vector<std::pair<std::string, ValuePtr>> dirty_;
+  /// Every get_or_compute call; hits are lookups_ - misses_.
+  std::atomic<std::int64_t> lookups_{0};
   std::atomic<std::int64_t> misses_{0};
   std::atomic<std::int64_t> disk_hits_{0};
   std::atomic<std::int64_t> computes_{0};

@@ -135,15 +135,6 @@ std::string scenario_key(const Scenario& scenario) {
   return os.str();
 }
 
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (char ch : text) {
-    hash ^= static_cast<unsigned char>(ch);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 std::string scenario_hash(const Scenario& scenario) {
   const std::uint64_t hash = fnv1a64(scenario_key(scenario));
   std::ostringstream os;

@@ -7,6 +7,7 @@
 #include "analyzer/strategy.hpp"
 #include "apps/registry.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "runtime/executor.hpp"
 
 /// Scenario descriptors for the batch sweep engine.
@@ -72,8 +73,8 @@ struct Scenario {
 /// change the key.
 std::string scenario_key(const Scenario& scenario);
 
-/// FNV-1a 64-bit over `text` (the cache's content address).
-std::uint64_t fnv1a64(const std::string& text);
+/// FNV-1a lives in common/strings; callers still spell it sweep::fnv1a64.
+using ::hetsched::fnv1a64;
 
 /// Hex digest of `scenario_key`, used as the cache file name.
 std::string scenario_hash(const Scenario& scenario);

@@ -35,5 +35,12 @@ TEST(Join, Basic) {
   EXPECT_EQ(join({"a", "b", "c"}, "/"), "a/b/c");
 }
 
+TEST(Fnv1a, KnownVectors) {
+  // Published FNV-1a 64-bit reference values.
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
 }  // namespace
 }  // namespace hetsched

@@ -153,7 +153,9 @@ TEST_F(TaskGraphTest, StreamStylePipelineHasPerChunkChains) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_TRUE(has_edge(graph, i, 4 + i));
     for (int j = 0; j < 4; ++j) {
-      if (j != i) EXPECT_FALSE(has_edge(graph, i, 4 + j));
+      if (j != i) {
+        EXPECT_FALSE(has_edge(graph, i, 4 + j));
+      }
     }
   }
 }

@@ -88,8 +88,9 @@ TEST_F(DagPlannerTest, ApplyPinsEveryTask) {
   EXPECT_EQ(pinned.task_count(), program.task_count());
   EXPECT_EQ(pinned.taskwait_count(), program.taskwait_count());
   for (const auto& op : pinned.ops()) {
-    if (op.kind == rt::ProgramOp::Kind::kSubmit)
+    if (op.kind == rt::ProgramOp::Kind::kSubmit) {
       EXPECT_TRUE(op.submit.pinned_device.has_value());
+    }
   }
 }
 

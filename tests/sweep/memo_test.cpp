@@ -1,9 +1,5 @@
-#include "sweep/memo.hpp"
-
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -11,9 +7,9 @@
 #include "sweep/bench.hpp"
 #include "sweep/sweep.hpp"
 
-/// Tests for the in-run scenario memo: single-flight semantics, shared
-/// baseline twins, input-list dedup, and the contract that memoized results
-/// are byte-identical to the memo-free reference path.
+/// Tests for the in-run scenario memo: shared baseline twins, input-list
+/// dedup, and the contract that memoized results are byte-identical to the
+/// memo-free reference path (SingleFlight itself: tests/common).
 namespace hetsched::sweep {
 namespace {
 
@@ -39,54 +35,6 @@ Scenario healthy_twin_of(const Scenario& faulted) {
   healthy.fault_plan.clear();
   healthy.fault_seed = 0;
   return healthy;
-}
-
-TEST(ScenarioMemo, SingleFlightComputesOncePerKey) {
-  ScenarioMemo memo;
-  std::atomic<int> computes{0};
-  std::atomic<int> shared_lookups{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      const ScenarioMemo::Lookup lookup =
-          memo.get_or_compute("the-key", [&computes] {
-            computes.fetch_add(1);
-            ScenarioOutcome outcome;
-            outcome.error = "sentinel";
-            return outcome;
-          });
-      EXPECT_EQ(lookup.outcome->error, "sentinel");
-      if (lookup.shared) shared_lookups.fetch_add(1);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(computes.load(), 1);
-  EXPECT_EQ(shared_lookups.load(), 7);
-  EXPECT_EQ(memo.entries(), 1u);
-}
-
-TEST(ScenarioMemo, DistinctKeysComputeIndependently) {
-  ScenarioMemo memo;
-  int computes = 0;
-  const auto make = [&computes] {
-    ++computes;
-    return ScenarioOutcome{};
-  };
-  EXPECT_FALSE(memo.get_or_compute("a", make).shared);
-  EXPECT_FALSE(memo.get_or_compute("b", make).shared);
-  EXPECT_TRUE(memo.get_or_compute("a", make).shared);
-  EXPECT_EQ(computes, 2);
-  EXPECT_EQ(memo.entries(), 2u);
-}
-
-TEST(ScenarioMemo, TwinLookupCountersSplitHitsFromComputes) {
-  ScenarioMemo memo;
-  memo.note_twin_lookup(false);
-  memo.note_twin_lookup(true);
-  memo.note_twin_lookup(true);
-  const MemoCounters counters = memo.counters();
-  EXPECT_EQ(counters.twin_computes, 1);
-  EXPECT_EQ(counters.twin_hits, 2);
 }
 
 // The acceptance bar: S faulted scenarios sharing one healthy twin perform

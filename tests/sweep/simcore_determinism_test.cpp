@@ -63,10 +63,11 @@ TEST(SimcoreDeterminism, CorpusScenariosReplayByteIdentically) {
   }
 }
 
-TEST(SimcoreDeterminism, BatchedSweepMatchesUnbatchedBitForBit) {
-  // The batch size is a dispatch-shape knob only: outcomes AND the twin
-  // memo counters must be identical for every K. Faulted seeds of one plan
-  // make the twin sharing observable (S seeds -> 1 baseline compute).
+TEST(SimcoreDeterminism, ParallelSweepMatchesSerialBitForBit) {
+  // The worker count is a dispatch-shape knob only: outcomes AND the twin
+  // memo counters must be identical for every pool size. Faulted seeds of
+  // one plan make the twin sharing observable (S seeds -> 1 baseline
+  // compute), and racing workers contend for that one twin's flight.
   std::vector<Scenario> grid;
   for (int seed = 1; seed <= 6; ++seed) {
     Scenario scenario;
@@ -83,25 +84,23 @@ TEST(SimcoreDeterminism, BatchedSweepMatchesUnbatchedBitForBit) {
   serial.use_cache = false;
   const SweepRun reference = SweepEngine(serial).run(grid);
 
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{100}}) {
-    SweepOptions batched;
-    batched.parallel = true;
-    batched.jobs = 3;
-    batched.use_cache = false;
-    batched.batch = batch;
-    const SweepRun run = SweepEngine(batched).run(grid);
-    ASSERT_EQ(run.outcomes.size(), reference.outcomes.size()) << batch;
+  for (const unsigned jobs : {1u, 3u, 8u}) {
+    SweepOptions parallel;
+    parallel.parallel = true;
+    parallel.jobs = jobs;
+    parallel.use_cache = false;
+    const SweepRun run = SweepEngine(parallel).run(grid);
+    ASSERT_EQ(run.outcomes.size(), reference.outcomes.size()) << jobs;
     for (std::size_t i = 0; i < run.outcomes.size(); ++i) {
       EXPECT_EQ(run.outcomes[i].to_payload(),
                 reference.outcomes[i].to_payload())
-          << "batch " << batch << " scenario " << i;
+          << "jobs " << jobs << " scenario " << i;
     }
     EXPECT_EQ(run.summary.twin_computes, reference.summary.twin_computes)
-        << batch;
+        << jobs;
     EXPECT_EQ(run.summary.twin_memo_hits, reference.summary.twin_memo_hits)
-        << batch;
-    EXPECT_EQ(run.summary.computed, reference.summary.computed) << batch;
+        << jobs;
+    EXPECT_EQ(run.summary.computed, reference.summary.computed) << jobs;
   }
 }
 

@@ -14,11 +14,10 @@
 ///                        # task-size auto-tuning (paper Section V)
 ///   hetsched_cli sweep   [--apps a,b] [--strategies s1,s2]
 ///                        [--platforms p1,p2] [--sync-mode both|on|off]
-///                        [--small] [--serial] [--jobs N] [--batch K]
+///                        [--small] [--serial] [--jobs N]
 ///                        [--no-cache] [--cache-dir <dir>] [--json <file>]
 ///                        [--csv]
 ///                        # batch scenario sweep with result caching
-///                        # (--batch groups K scenarios per worker job)
 ///   hetsched_cli faults  [--plan <name>] [--seed <n>] [--app a|--apps a,b]
 ///                        [--strategies s1,s2] [--platform <p>] [--sync]
 ///                        [--small] [--tasks <m>] [--serial] [--jobs N]
@@ -404,8 +403,6 @@ int cmd_sweep(const Args& args) {
   options.parallel = !args.flag("serial");
   if (args.flag("jobs"))
     options.jobs = static_cast<unsigned>(std::stoul(args.get("jobs")));
-  if (args.flag("batch"))
-    options.batch = static_cast<std::size_t>(std::stoul(args.get("batch")));
   options.use_cache = !args.flag("no-cache");
   options.cache_dir = args.get("cache-dir", ".hs-sweep-cache");
 
