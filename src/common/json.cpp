@@ -1,8 +1,10 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -357,21 +359,32 @@ std::string format_double(double value) {
   if (std::isnan(value) || std::isinf(value))
     throw InvalidArgument("json cannot represent NaN or Infinity");
   if (value == 0.0) return "0";  // normalizes -0.0 as well
-  const double rounded = std::nearbyint(value);
-  if (rounded == value && std::fabs(value) < 1e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.0f", value);
-    return buffer;
-  }
-  // Shortest fixed/scientific form that parses back exactly.
-  for (int precision = 6; precision <= 17; ++precision) {
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) return buffer;
-  }
   char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  char* const last = buffer + sizeof(buffer);
+  if (std::fabs(value) < 1e15 && std::trunc(value) == value) {
+    // Integral: the digits printf's "%.0f" prints, without a decimal point.
+    return std::string(
+        buffer, std::to_chars(buffer, last, static_cast<std::int64_t>(value))
+                    .ptr);
+  }
+  // The shortest "%.*g" (precision 6 and up) that parses back exactly. No
+  // precision below the digit count of the shortest round-tripping form can
+  // parse back, so the search starts there instead of at 6.
+  char* const shortest =
+      std::to_chars(buffer, last, value, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* c = buffer; c != shortest && *c != 'e'; ++c)
+    digits += std::isdigit(static_cast<unsigned char>(*c)) != 0;
+  for (int precision = std::clamp(digits, 6, 17);; ++precision) {
+    // to_chars(general, precision) is defined as printf's "%.*g".
+    char* const end =
+        std::to_chars(buffer, last, value, std::chars_format::general,
+                      precision)
+            .ptr;
+    double parsed = 0.0;
+    std::from_chars(buffer, end, parsed);
+    if (parsed == value || precision == 17) return std::string(buffer, end);
+  }
 }
 
 }  // namespace hetsched::json

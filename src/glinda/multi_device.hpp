@@ -65,6 +65,8 @@ struct MultiPartitionDecision {
   /// The scalar hardware-configuration view: everything on device 0 is
   /// Only-CPU, nothing on device 0 is Only-GPU, anything else a partition.
   HardwareConfig config() const;
+
+  bool operator==(const MultiPartitionDecision&) const = default;
 };
 
 /// The scalar two-device view of a CPU+1-accelerator estimate (device 0 =

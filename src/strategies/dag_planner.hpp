@@ -34,6 +34,8 @@ struct DagPlan {
   double predicted_seconds = 0.0;
   /// Tasks assigned per device (diagnostics).
   std::vector<std::size_t> tasks_per_device;
+
+  bool operator==(const DagPlan&) const = default;
 };
 
 class DagPlanner {

@@ -89,26 +89,77 @@ void StrategyRunner::require_accelerator() const {
                  << app_.executor().platform().name << "' has none");
 }
 
-StrategyResult StrategyRunner::run(StrategyKind kind) {
+void StrategyRunner::require_applicable(StrategyKind kind) const {
+  // Every strategy but Only-CPU places work on an accelerator.
+  if (kind != StrategyKind::kOnlyCpu) require_accelerator();
+  const std::size_t kernels = app_.kernels().size();
+  if (kind == StrategyKind::kSPSingle) {
+    HS_REQUIRE(kernels == 1,
+               "SP-Single applies to single-kernel applications; '"
+                   << app_.name() << "' has " << kernels);
+  } else if (kind == StrategyKind::kSPUnified ||
+             kind == StrategyKind::kSPVaried) {
+    HS_REQUIRE(kernels > 1, analyzer::strategy_name(kind)
+                                << " applies to multi-kernel applications");
+  }
+}
+
+StrategyPlan StrategyRunner::plan(StrategyKind kind) const {
+  require_applicable(kind);
+  StrategyPlan plan;
+  plan.kind = kind;
   app_.reset_data();
   switch (kind) {
-    case StrategyKind::kOnlyCpu:
-      return run_only(hw::kCpuDevice, kind);
-    case StrategyKind::kOnlyGpu:
-      return run_only(kFirstAccelerator, kind);
     case StrategyKind::kSPSingle:
-      return run_sp_single();
+      plan.decisions.push_back(plan_sp_single());
+      break;
     case StrategyKind::kSPUnified:
-      return run_sp_unified();
+      plan.decisions.push_back(plan_sp_unified());
+      break;
     case StrategyKind::kSPVaried:
-      return run_sp_varied();
+      plan.decisions = plan_sp_varied();
+      break;
     case StrategyKind::kSPDag:
-      return run_sp_dag();
-    case StrategyKind::kDPDep:
+      // Profile every (kernel, device) pair and plan the chunked task graph
+      // with the HEFT-style planner.
+      plan.rates = probe_rates(options_.dp_perf_profile_instances);
+      plan.dag = DagPlanner(app_.executor().platform(), plan.rates)
+                     .plan(app_.executor().kernels(), chunked_program());
+      break;
     case StrategyKind::kDPPerf:
-      return run_dp(kind);
+      // The profiling phase gives each device 3 task instances of the
+      // dynamic task size per kernel; it is excluded from the reported time
+      // (paper Section IV-A2).
+      plan.rates = probe_rates(options_.dp_perf_profile_instances);
+      break;
+    case StrategyKind::kOnlyCpu:
+    case StrategyKind::kOnlyGpu:
+    case StrategyKind::kDPDep:
+      break;  // nothing to decide ahead of the run
   }
-  throw InvalidArgument("unknown strategy");
+  return plan;
+}
+
+StrategyResult StrategyRunner::execute(const StrategyPlan& plan) {
+  require_applicable(plan.kind);
+  app_.reset_data();
+  rt::ExecutionReport report;
+  if (plan.kind == StrategyKind::kDPDep) {
+    rt::BreadthFirstScheduler scheduler;
+    report = measured_execute(chunked_program(), scheduler);
+  } else if (plan.kind == StrategyKind::kDPPerf) {
+    rt::PerfAwareScheduler scheduler;
+    for (const auto& [pair, rate] : plan.rates)
+      scheduler.seed_estimate(pair.first, pair.second, rate);
+    report = measured_execute(chunked_program(), scheduler);
+  } else {
+    report = measured_execute_pinned(pinned_program(plan));
+  }
+  return finalize(plan.kind, std::move(report), plan.decisions);
+}
+
+StrategyResult StrategyRunner::run(StrategyKind kind) {
+  return execute(plan(kind));
 }
 
 std::map<StrategyKind, StrategyResult>
@@ -141,7 +192,7 @@ StrategyRunner::MatchedRun StrategyRunner::run_matched() {
 
 StrategyResult StrategyRunner::finalize(
     StrategyKind kind, rt::ExecutionReport report,
-    std::vector<glinda::MultiPartitionDecision> decisions) {
+    std::vector<glinda::MultiPartitionDecision> decisions) const {
   StrategyResult result;
   result.kind = kind;
   // "GPU share" counts all accelerators (everything that is not the CPU).
@@ -156,29 +207,99 @@ StrategyResult StrategyRunner::finalize(
   return result;
 }
 
-StrategyResult StrategyRunner::run_only(hw::DeviceId device,
-                                        StrategyKind kind) {
-  if (device != hw::kCpuDevice) require_accelerator();
+rt::Program StrategyRunner::chunked_program() const {
   const int m = options_.task_count;
   const auto submit = [&](rt::Program& program, std::size_t index,
                           rt::KernelId k) {
-    const std::int64_t n = app_.items_of(index);
-    if (device == hw::kCpuDevice) {
-      for (int i = 0; i < m; ++i) {
-        program.submit(k, n * i / m, n * (i + 1) / m, hw::kCpuDevice);
-      }
-    } else {
-      program.submit(k, 0, n, device);
-    }
+    program.submit_chunked(k, 0, app_.items_of(index), m);
   };
-  const rt::Program program =
-      app_.build_program(submit, options_.sync_between_kernels);
-  return finalize(kind, measured_execute_pinned(program), {});
+  return app_.build_program(submit, options_.sync_between_kernels);
+}
+
+rt::Program StrategyRunner::pinned_program(const StrategyPlan& plan) const {
+  const int m = options_.task_count;
+  switch (plan.kind) {
+    case StrategyKind::kOnlyCpu:
+    case StrategyKind::kOnlyGpu: {
+      const hw::DeviceId device = plan.kind == StrategyKind::kOnlyCpu
+                                      ? hw::kCpuDevice
+                                      : kFirstAccelerator;
+      const auto submit = [&](rt::Program& program, std::size_t index,
+                              rt::KernelId k) {
+        const std::int64_t n = app_.items_of(index);
+        if (device == hw::kCpuDevice) {
+          for (int i = 0; i < m; ++i) {
+            program.submit(k, n * i / m, n * (i + 1) / m, hw::kCpuDevice);
+          }
+        } else {
+          program.submit(k, 0, n, device);
+        }
+      };
+      return app_.build_program(submit, options_.sync_between_kernels);
+    }
+    case StrategyKind::kSPSingle: {
+      HS_REQUIRE(plan.decisions.size() == 1, "SP-Single plan needs 1 decision");
+      const auto submit = [&](rt::Program& program, std::size_t index,
+                              rt::KernelId) {
+        submit_split(program, index, plan.decisions[0].items_per_device);
+      };
+      return app_.build_program(submit, options_.sync_between_kernels);
+    }
+    case StrategyKind::kSPUnified: {
+      HS_REQUIRE(plan.decisions.size() == 1,
+                 "SP-Unified plan needs 1 decision");
+      // One unified partitioning POINT: each accelerator gets the same
+      // fraction of every kernel's item space (identical counts when
+      // kernels share the item space; proportional for multi-pass
+      // kernels), and the CPU absorbs the rounding remainder.
+      const glinda::MultiPartitionDecision& decision = plan.decisions[0];
+      const std::int64_t total = app_.items();
+      const auto submit = [&](rt::Program& program, std::size_t index,
+                              rt::KernelId) {
+        const std::int64_t nk = app_.items_of(index);
+        std::vector<std::int64_t> items(decision.device_count(), 0);
+        std::int64_t assigned = 0;
+        for (std::size_t d = 1; d < decision.device_count(); ++d) {
+          auto share = static_cast<std::int64_t>(
+              decision.share(d, total) * static_cast<double>(nk) + 0.5);
+          share = std::min(share, nk - assigned);
+          items[d] = share;
+          assigned += share;
+        }
+        items[hw::kCpuDevice] = nk - assigned;
+        submit_split(program, index, items);
+      };
+      return app_.build_program(submit, options_.sync_between_kernels);
+    }
+    case StrategyKind::kSPVaried: {
+      HS_REQUIRE(plan.decisions.size() == app_.kernels().size(),
+                 "SP-Varied plan needs one decision per kernel");
+      const auto submit = [&](rt::Program& program, std::size_t index,
+                              rt::KernelId) {
+        submit_split(program, index, plan.decisions[index].items_per_device);
+      };
+      // SP-Varied requires inter-kernel synchronization by construction.
+      return app_.build_program(submit, /*sync_between_kernels=*/true);
+    }
+    case StrategyKind::kSPDag:
+      return DagPlanner(app_.executor().platform(), plan.rates)
+          .apply(chunked_program(), plan.dag);
+    case StrategyKind::kDPDep:
+    case StrategyKind::kDPPerf:
+      break;
+  }
+  throw InvalidArgument(std::string(analyzer::strategy_name(plan.kind)) +
+                        " does not run a pinned program");
 }
 
 void StrategyRunner::submit_split(
     rt::Program& program, std::size_t kernel_index,
     const std::vector<std::int64_t>& items_per_device) const {
+  HS_REQUIRE(items_per_device.size() ==
+                 app_.executor().platform().device_count(),
+             "split over " << items_per_device.size() << " devices on a "
+                           << app_.executor().platform().device_count()
+                           << "-device platform");
   const rt::KernelId kernel = app_.kernels()[kernel_index];
   // Accelerators take contiguous slabs from the front, in device order;
   // the CPU's tail slab is split into m instances.
@@ -219,11 +340,7 @@ glinda::MultiDeviceEstimate StrategyRunner::estimate_for(
   return estimate;
 }
 
-StrategyResult StrategyRunner::run_sp_single() {
-  require_accelerator();
-  HS_REQUIRE(app_.kernels().size() == 1,
-             "SP-Single applies to single-kernel applications; '"
-                 << app_.name() << "' has " << app_.kernels().size());
+glinda::MultiPartitionDecision StrategyRunner::plan_sp_single() const {
   // Profiling one iteration captures exactly the per-iteration transfer
   // pattern (SK-Loop applications pay them every iteration).
   const glinda::MultiDeviceEstimate estimate =
@@ -232,25 +349,12 @@ StrategyResult StrategyRunner::run_sp_single() {
   // Imbalanced applications publish their prefix-weight function and get
   // the work-balancing solver on two-device platforms; uniform ones get
   // the closed form.
-  const glinda::MultiPartitionDecision decision =
-      glinda::solve_multi_partition(estimate, app_.items(),
-                                    options_.partition, app_.prefix_weight());
-
-  app_.reset_data();
-  const auto submit = [&](rt::Program& program, std::size_t index,
-                          rt::KernelId) {
-    submit_split(program, index, decision.items_per_device);
-  };
-  const rt::Program program =
-      app_.build_program(submit, options_.sync_between_kernels);
-  return finalize(StrategyKind::kSPSingle, measured_execute_pinned(program),
-                  {decision});
+  return glinda::solve_multi_partition(estimate, app_.items(),
+                                       options_.partition,
+                                       app_.prefix_weight());
 }
 
-StrategyResult StrategyRunner::run_sp_unified() {
-  require_accelerator();
-  HS_REQUIRE(app_.kernels().size() > 1,
-             "SP-Unified applies to multi-kernel applications");
+glinda::MultiPartitionDecision StrategyRunner::plan_sp_unified() const {
   // The kernels are regarded as one fused kernel. In a main loop without
   // per-iteration synchronization, data stays resident across iterations,
   // so the unified partitioning is determined without the data transfers
@@ -259,41 +363,12 @@ StrategyResult StrategyRunner::run_sp_unified() {
       !(app_.iterations() > 1 && !app_.sync_each_iteration());
   const glinda::MultiDeviceEstimate estimate =
       estimate_for(app_.fused_factory(), transfers_on_path, app_.items());
-  const glinda::MultiPartitionDecision decision =
-      glinda::solve_multi_partition(estimate, app_.items(),
-                                    options_.partition);
-
-  app_.reset_data();
-  // One unified partitioning POINT: each accelerator gets the same
-  // fraction of every kernel's item space (identical counts when kernels
-  // share the item space; proportional for multi-pass kernels), and the
-  // CPU absorbs the rounding remainder.
-  const std::int64_t total = app_.items();
-  const auto submit = [&](rt::Program& program, std::size_t index,
-                          rt::KernelId) {
-    const std::int64_t nk = app_.items_of(index);
-    std::vector<std::int64_t> items(decision.device_count(), 0);
-    std::int64_t assigned = 0;
-    for (std::size_t d = 1; d < decision.device_count(); ++d) {
-      auto share = static_cast<std::int64_t>(
-          decision.share(d, total) * static_cast<double>(nk) + 0.5);
-      share = std::min(share, nk - assigned);
-      items[d] = share;
-      assigned += share;
-    }
-    items[hw::kCpuDevice] = nk - assigned;
-    submit_split(program, index, items);
-  };
-  const rt::Program program =
-      app_.build_program(submit, options_.sync_between_kernels);
-  return finalize(StrategyKind::kSPUnified, measured_execute_pinned(program),
-                  {decision});
+  return glinda::solve_multi_partition(estimate, app_.items(),
+                                       options_.partition);
 }
 
-StrategyResult StrategyRunner::run_sp_varied() {
-  require_accelerator();
-  HS_REQUIRE(app_.kernels().size() > 1,
-             "SP-Varied applies to multi-kernel applications");
+std::vector<glinda::MultiPartitionDecision> StrategyRunner::plan_sp_varied()
+    const {
   // Per-kernel optimal splits; each kernel is profiled in isolation, with
   // its transfers on the critical path (the synchronization between kernels
   // flushes data home every time).
@@ -317,17 +392,7 @@ StrategyResult StrategyRunner::run_sp_varied() {
     decisions.push_back(
         glinda::solve_multi_partition(estimate, nk, options_.partition));
   }
-
-  app_.reset_data();
-  const auto submit = [&](rt::Program& program, std::size_t index,
-                          rt::KernelId) {
-    submit_split(program, index, decisions[index].items_per_device);
-  };
-  // SP-Varied requires inter-kernel synchronization by construction.
-  const rt::Program program =
-      app_.build_program(submit, /*sync_between_kernels=*/true);
-  return finalize(StrategyKind::kSPVaried, measured_execute_pinned(program),
-                  std::move(decisions));
+  return decisions;
 }
 
 RateTable StrategyRunner::probe_rates(int instances_per_pair) const {
@@ -354,55 +419,6 @@ RateTable StrategyRunner::probe_rates(int instances_per_pair) const {
     }
   }
   return rates;
-}
-
-StrategyResult StrategyRunner::run_sp_dag() {
-  require_accelerator();
-  // Profile every (kernel, device) pair, plan the chunked task graph with
-  // the HEFT-style planner, and execute the fully pinned result.
-  const RateTable rates = probe_rates(options_.dp_perf_profile_instances);
-  const int m = options_.task_count;
-  const auto submit = [&](rt::Program& program, std::size_t index,
-                          rt::KernelId k) {
-    program.submit_chunked(k, 0, app_.items_of(index), m);
-  };
-  const rt::Program unpinned =
-      app_.build_program(submit, options_.sync_between_kernels);
-
-  DagPlanner planner(app_.executor().platform(), rates);
-  const DagPlan plan = planner.plan(app_.executor().kernels(), unpinned);
-  const rt::Program pinned = planner.apply(unpinned, plan);
-
-  app_.reset_data();
-  return finalize(StrategyKind::kSPDag, measured_execute_pinned(pinned),
-                  {});
-}
-
-StrategyResult StrategyRunner::run_dp(StrategyKind kind) {
-  require_accelerator();
-  const int m = options_.task_count;
-  const auto submit = [&](rt::Program& program, std::size_t index,
-                          rt::KernelId k) {
-    program.submit_chunked(k, 0, app_.items_of(index), m);
-  };
-  const rt::Program program =
-      app_.build_program(submit, options_.sync_between_kernels);
-
-  if (kind == StrategyKind::kDPDep) {
-    rt::BreadthFirstScheduler scheduler;
-    return finalize(kind, measured_execute(program, scheduler), {});
-  }
-
-  // DP-Perf: the profiling phase gives each device 3 task instances of the
-  // dynamic task size per kernel; it is excluded from the reported time
-  // (paper Section IV-A2).
-  rt::PerfAwareScheduler scheduler;
-  for (const auto& [pair, rate] :
-       probe_rates(options_.dp_perf_profile_instances)) {
-    scheduler.seed_estimate(pair.first, pair.second, rate);
-  }
-  app_.reset_data();
-  return finalize(kind, measured_execute(program, scheduler), {});
 }
 
 }  // namespace hetsched::strategies

@@ -14,26 +14,34 @@
 #include "strategies/dag_planner.hpp"
 
 /// Strategy drivers (paper Section III-C): given an application, each
-/// strategy shapes a Program (how the item space is chunked and where the
-/// chunks are pinned), runs any profiling it needs, executes, and reports.
+/// strategy first plans — runs any profiling it needs and decides the
+/// split — then shapes a Program (how the item space is chunked and where
+/// the chunks are pinned), executes it once under measurement, and reports.
 ///
-/// Implementation map (paper -> this module):
-///   SP-Single   Glinda profiling + optimal split of the single kernel;
+/// Implementation map (paper -> this module; plan() | execute()):
+///   SP-Single   Glinda profiling + optimal split of the single kernel |
 ///               each accelerator's slab is one pinned instance, the CPU
 ///               side is m pinned instances (one per thread).
-///   SP-Unified  The kernels are fused for profiling; one unified split is
+///   SP-Unified  The kernels are fused for profiling; one unified split |
 ///               applied to every kernel; no synchronization between
 ///               kernels, so data stays resident per device.
-///   SP-Varied   Each kernel is profiled and split separately; a taskwait
+///   SP-Varied   Each kernel is profiled and split separately | a taskwait
 ///               separates kernels (SP-Varied requires synchronization).
-///   DP-Dep      Chunked, unpinned submission under the breadth-first /
-///               locality scheduler.
-///   DP-Perf     Chunked, unpinned submission under the performance-aware
-///               scheduler, seeded by a profiling phase that gives each
-///               device 3 task instances per kernel (excluded from the
-///               reported time, as in the paper).
-///   Only-CPU /  All work pinned to one device (the paper's baseline
-///   Only-GPU    executions).
+///   SP-DAG      Probed (kernel, device) rates + a HEFT-style assignment |
+///               the fully pinned task graph.
+///   DP-Dep      nothing | chunked, unpinned submission under the
+///               breadth-first / locality scheduler.
+///   DP-Perf     A profiling phase that gives each device 3 task instances
+///               per kernel (excluded from the reported time, as in the
+///               paper) | chunked, unpinned submission under the
+///               performance-aware scheduler seeded with those rates.
+///   Only-CPU /  nothing | all work pinned to one device (the paper's
+///   Only-GPU    baseline executions).
+///
+/// Profiling never sees StrategyOptions::fault_plan or ::explore, so a
+/// faulted run's plan is its fault-free twin's: the sweep engine and
+/// `hetsched_cli metrics --plan` execute the twin's plan instead of
+/// profiling again.
 namespace hetsched::strategies {
 
 struct StrategyOptions {
@@ -61,6 +69,24 @@ struct StrategyOptions {
   rt::ExploreSpec explore;
 };
 
+/// Everything a strategy decides before its measured execution. A plan
+/// depends only on the application, its platform and the StrategyOptions
+/// other than fault_plan and explore, so any runner over an equal
+/// application configuration may execute it.
+struct StrategyPlan {
+  analyzer::StrategyKind kind = analyzer::StrategyKind::kOnlyCpu;
+  /// Glinda decisions: one per kernel for SP-Varied, a single entry for
+  /// SP-Single and SP-Unified, none otherwise.
+  std::vector<glinda::MultiPartitionDecision> decisions;
+  /// Probed (kernel, device) rates: DP-Perf's scheduler seeds and the
+  /// SP-DAG planner's input; empty otherwise.
+  RateTable rates;
+  /// SP-DAG's pinned assignment, planned from `rates`.
+  DagPlan dag;
+
+  bool operator==(const StrategyPlan&) const = default;
+};
+
 struct StrategyResult {
   analyzer::StrategyKind kind = analyzer::StrategyKind::kOnlyCpu;
   rt::ExecutionReport report;
@@ -80,9 +106,17 @@ class StrategyRunner {
  public:
   explicit StrategyRunner(apps::Application& app, StrategyOptions options = {});
 
-  /// Runs one strategy end to end (profiling + measured execution) and
-  /// reports. Throws InvalidArgument if the strategy is not applicable to
-  /// the application's class (e.g. SP-Single on a multi-kernel app).
+  /// Runs every profiling execution `kind` needs and makes its decisions,
+  /// on the healthy canonical platform. Throws InvalidArgument if the
+  /// strategy is not applicable to the application's class (e.g. SP-Single
+  /// on a multi-kernel app) or platform.
+  StrategyPlan plan(analyzer::StrategyKind kind) const;
+
+  /// Builds the program `plan` decided and runs the one measured execution,
+  /// with the fault plan and explore spec armed, and reports.
+  StrategyResult execute(const StrategyPlan& plan);
+
+  /// One strategy end to end: execute(plan(kind)).
   StrategyResult run(analyzer::StrategyKind kind);
 
   /// Runs every strategy in the application's Table I ranking plus the two
@@ -108,12 +142,20 @@ class StrategyRunner {
   static constexpr hw::DeviceId kFirstAccelerator = 1;
 
  private:
-  StrategyResult run_only(hw::DeviceId device, analyzer::StrategyKind kind);
-  StrategyResult run_sp_single();
-  StrategyResult run_sp_unified();
-  StrategyResult run_sp_varied();
-  StrategyResult run_sp_dag();
-  StrategyResult run_dp(analyzer::StrategyKind kind);
+  /// Throws InvalidArgument unless `kind` applies to this application and
+  /// platform.
+  void require_applicable(analyzer::StrategyKind kind) const;
+
+  glinda::MultiPartitionDecision plan_sp_single() const;
+  glinda::MultiPartitionDecision plan_sp_unified() const;
+  std::vector<glinda::MultiPartitionDecision> plan_sp_varied() const;
+
+  /// The application's program with every kernel submitted as m unpinned
+  /// chunks (DP-Dep, DP-Perf, and SP-DAG before planning).
+  rt::Program chunked_program() const;
+
+  /// The program each static strategy pins from its plan.
+  rt::Program pinned_program(const StrategyPlan& plan) const;
 
   /// The measured executions — the ones options_.fault_plan perturbs.
   rt::ExecutionReport measured_execute_pinned(const rt::Program& program);
@@ -137,7 +179,7 @@ class StrategyRunner {
 
   StrategyResult finalize(
       analyzer::StrategyKind kind, rt::ExecutionReport report,
-      std::vector<glinda::MultiPartitionDecision> decisions);
+      std::vector<glinda::MultiPartitionDecision> decisions) const;
 
   void require_accelerator() const;
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -157,11 +158,20 @@ ScenarioOutcome ScenarioOutcome::from_payload(const std::string& payload) {
   return outcome;
 }
 
+/// Profiling never sees the fault plan, so a faulted scenario's strategy
+/// plan is its twin's, byte for byte: the twin carries the plan it executed
+/// and the faulted scenario runs only its own measured execution. Faulted
+/// outcomes carry no plan (no scenario uses one as its twin).
+struct SweepEngine::Computed {
+  ScenarioOutcome outcome;
+  std::optional<strategies::StrategyPlan> plan;
+};
+
 /// One run()'s memo: top-level scenarios and baseline twins resolve through
 /// one single-flight table keyed by scenario key, so a key computes once
 /// per run (N fault seeds x M plans share one twin, not N x M).
 struct SweepEngine::RunMemo {
-  SingleFlight<ScenarioOutcome> flights;
+  SingleFlight<Computed> flights;
   std::atomic<std::size_t> twin_hits{0};      ///< twins another lookup owned
   std::atomic<std::size_t> twin_computes{0};  ///< twins this lookup computed
 };
@@ -175,48 +185,49 @@ SweepEngine::SweepEngine(SweepOptions options)
 }
 
 ScenarioOutcome SweepEngine::compute(const Scenario& scenario) const {
-  return compute_scenario(scenario, nullptr);
+  return compute_scenario(scenario, nullptr).outcome;
 }
 
-ScenarioOutcome SweepEngine::compute_scenario(const Scenario& scenario,
-                                              RunMemo* memo) const {
+SweepEngine::Computed SweepEngine::compute_scenario(const Scenario& scenario,
+                                                    RunMemo* memo) const {
   const obs::ScopedPhase profile_phase(obs::kPhaseSweepScenario);
-  ScenarioOutcome outcome;
+  Computed computed;
+  ScenarioOutcome& outcome = computed.outcome;
   outcome.scenario = scenario;
   const Clock::time_point start = Clock::now();
 
   // Faulted scenarios are measured against their own fault-free twin: the
   // baseline run fixes the horizon the named plan's relative offsets
-  // resolve against, and its makespan is the degradation denominator. The
-  // twin is part of this scenario's deterministic closure, not a separate
-  // sweep entry — but within one run() every faulted scenario that maps to
-  // the same healthy key shares ONE twin computation through the memo
-  // instead of recomputing it per fault seed / plan.
-  double baseline_ms = 0.0;
+  // resolve against, its makespan is the degradation denominator, and its
+  // strategy plan is the one the faulted run executes. The twin is part of
+  // this scenario's deterministic closure, not a separate sweep entry — but
+  // within one run() every faulted scenario that maps to the same healthy
+  // key shares ONE twin computation through the memo instead of
+  // recomputing it per fault seed / plan.
+  std::shared_ptr<const Computed> twin;
   if (!scenario.fault_plan.empty()) {
     Scenario healthy = scenario;
     healthy.fault_plan.clear();
     healthy.fault_seed = 0;
-    std::shared_ptr<const ScenarioOutcome> base;
     if (memo != nullptr) {
       auto lookup = memo->flights.get_or_compute(
           scenario_key(healthy),
           [this, &healthy, memo] { return compute_scenario(healthy, memo); });
       (lookup.owner ? memo->twin_computes : memo->twin_hits)
           .fetch_add(1, std::memory_order_relaxed);
-      base = std::move(lookup.value);
+      twin = std::move(lookup.value);
     } else {
-      base = std::make_shared<const ScenarioOutcome>(
+      twin = std::make_shared<const Computed>(
           compute_scenario(healthy, nullptr));
     }
-    if (!base->ok()) {
-      outcome.status = base->status;
-      outcome.error = base->error;
+    if (!twin->outcome.ok()) {
+      outcome.status = twin->outcome.status;
+      outcome.error = twin->outcome.error;
       outcome.wall_ms = elapsed_ms(start);
-      return outcome;
+      return computed;
     }
-    baseline_ms = base->metrics.time_ms;
   }
+  const double baseline_ms = twin ? twin->outcome.metrics.time_ms : 0.0;
 
   try {
     const hw::PlatformSpec platform =
@@ -245,7 +256,12 @@ ScenarioOutcome SweepEngine::compute_scenario(const Scenario& scenario,
                                   platform.device_count());
     }
     strategies::StrategyRunner runner(*application, strategy_options);
-    const strategies::StrategyResult result = runner.run(scenario.strategy);
+    // A faulted scenario executes its twin's plan; a healthy one plans here
+    // and keeps the plan for the faulted scenarios that share it as a twin.
+    const strategies::StrategyPlan& plan =
+        twin ? twin->plan.value()
+             : computed.plan.emplace(runner.plan(scenario.strategy));
+    const strategies::StrategyResult result = runner.execute(plan);
 
     outcome.metrics.time_ms = result.time_ms();
     outcome.metrics.gpu_fraction_overall = result.gpu_fraction_overall;
@@ -292,7 +308,7 @@ ScenarioOutcome SweepEngine::compute_scenario(const Scenario& scenario,
     outcome.error = error.what();
   }
   outcome.wall_ms = elapsed_ms(start);
-  return outcome;
+  return computed;
 }
 
 SweepRun SweepEngine::run(const std::vector<Scenario>& scenarios) const {
@@ -385,7 +401,7 @@ SweepRun SweepEngine::run(const std::vector<Scenario>& scenarios) const {
         keys[index], [this, &scenarios, &memo, index] {
           return compute_scenario(scenarios[index], &memo);
         });
-    run.outcomes[index] = *lookup.value;
+    run.outcomes[index] = lookup.value->outcome;
     // Equal keys imply equal results, but echo this row's own descriptor.
     run.outcomes[index].scenario = scenarios[index];
     if (!lookup.owner) {

@@ -184,14 +184,17 @@ class SweepEngine {
   ScenarioOutcome compute(const Scenario& scenario) const;
 
  private:
+  /// A scenario's outcome plus, for a healthy scenario, the strategy plan
+  /// its measured run executed (defined in sweep.cpp).
+  struct Computed;
   /// The run's single-flight memo and twin counters (defined in sweep.cpp).
   struct RunMemo;
 
-  /// compute() with an optional memo: when `memo` is non-null, a faulted
-  /// scenario's baseline twin resolves through the run's single-flight
-  /// table instead of being recomputed.
-  ScenarioOutcome compute_scenario(const Scenario& scenario,
-                                   RunMemo* memo) const;
+  /// compute() with an optional memo. A faulted scenario executes its
+  /// fault-free twin's plan instead of profiling again; when `memo` is
+  /// non-null the twin resolves through the run's single-flight table
+  /// instead of being recomputed.
+  Computed compute_scenario(const Scenario& scenario, RunMemo* memo) const;
 
   SweepOptions options_;
 };

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase_profiler.hpp"
 #include "sweep/bench.hpp"
 #include "sweep/sweep.hpp"
 
@@ -58,19 +61,91 @@ TEST(SweepMemo, FaultSeedsShareOneBaselineTwin) {
   }
 }
 
+/// DP-Perf and the three SP strategies: the ones whose faulted scenarios
+/// execute a profiled plan shared through their twin.
+std::vector<Scenario> planned_storm_scenarios(int seeds) {
+  const std::pair<apps::PaperApp, analyzer::StrategyKind> planned[] = {
+      {apps::PaperApp::kMatrixMul, analyzer::StrategyKind::kDPPerf},
+      {apps::PaperApp::kMatrixMul, analyzer::StrategyKind::kSPSingle},
+      {apps::PaperApp::kStreamSeq, analyzer::StrategyKind::kSPUnified},
+      {apps::PaperApp::kStreamSeq, analyzer::StrategyKind::kSPVaried},
+  };
+  std::vector<Scenario> scenarios;
+  for (int seed = 1; seed <= seeds; ++seed) {
+    for (const auto& [app, strategy] : planned) {
+      Scenario scenario = storm_scenario(static_cast<std::uint64_t>(seed));
+      scenario.app = app;
+      scenario.strategy = strategy;
+      scenarios.push_back(scenario);
+    }
+  }
+  return scenarios;
+}
+
 TEST(SweepMemo, ParallelRunSharesTwinsThreadSafely) {
   constexpr int kSeeds = 6;
-  std::vector<Scenario> scenarios;
-  for (int seed = 1; seed <= kSeeds; ++seed)
-    scenarios.push_back(storm_scenario(static_cast<std::uint64_t>(seed)));
+  const std::vector<Scenario> scenarios = planned_storm_scenarios(kSeeds);
+  const std::size_t twins = scenarios.size() / kSeeds;
 
   SweepOptions options = serial_options();
   options.parallel = true;
+  options.jobs = 8;
   const SweepRun run = SweepEngine(options).run(scenarios);
-  EXPECT_EQ(run.summary.ok, static_cast<std::size_t>(kSeeds));
-  EXPECT_EQ(run.summary.twin_computes, 1u);
-  EXPECT_EQ(run.summary.twin_memo_hits,
-            static_cast<std::size_t>(kSeeds - 1));
+  EXPECT_EQ(run.summary.ok, scenarios.size());
+  EXPECT_EQ(run.summary.twin_computes, twins);
+  EXPECT_EQ(run.summary.twin_memo_hits, scenarios.size() - twins);
+
+  // Workers racing for a twin execute its shared plan: same bytes as the
+  // serial reference.
+  const SweepRun serial = SweepEngine(serial_options()).run(scenarios);
+  ASSERT_EQ(run.outcomes.size(), serial.outcomes.size());
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    EXPECT_EQ(run.outcomes[i].to_payload(), serial.outcomes[i].to_payload())
+        << scenarios[i].label();
+  }
+}
+
+std::int64_t partition_solve_calls() {
+  const auto stages = obs::phase_profiler().snapshot();
+  const auto it = stages.find(std::string(obs::kPhasePartitionSolve));
+  return it == stages.end() ? 0 : it->second.calls;
+}
+
+// Faulted scenarios execute their twin's strategy plan instead of profiling
+// again: a faults sweep over one SP (app, platform) solves exactly the
+// partitions its twin solves, however many seeds and plans share the twin.
+TEST(SweepMemo, FaultedScenariosSolveNoPartitionOfTheirOwn) {
+  constexpr int kSeeds = 3;
+  const SweepEngine engine(serial_options());
+  for (const Scenario& planned : planned_storm_scenarios(1)) {
+    if (planned.strategy == analyzer::StrategyKind::kDPPerf) continue;
+    std::int64_t before = partition_solve_calls();
+    ASSERT_TRUE(engine.compute(healthy_twin_of(planned)).ok());
+    const std::int64_t twin_solves = partition_solve_calls() - before;
+    ASSERT_GT(twin_solves, 0) << planned.label();
+
+    std::vector<Scenario> scenarios;
+    for (const char* plan : {"storm", "storm-all"}) {
+      for (int seed = 1; seed <= kSeeds; ++seed) {
+        Scenario scenario = planned;
+        scenario.fault_plan = plan;
+        scenario.fault_seed = static_cast<std::uint64_t>(seed);
+        scenarios.push_back(scenario);
+      }
+    }
+    before = partition_solve_calls();
+    const SweepRun run = engine.run(scenarios);
+    EXPECT_EQ(run.summary.ok, scenarios.size());
+    EXPECT_EQ(run.summary.twin_computes, 1u);
+    EXPECT_EQ(partition_solve_calls() - before, twin_solves)
+        << planned.label();
+
+    // The memo-free path shares its local twin's plan the same way.
+    before = partition_solve_calls();
+    ASSERT_TRUE(engine.compute(scenarios.front()).ok());
+    EXPECT_EQ(partition_solve_calls() - before, twin_solves)
+        << planned.label();
+  }
 }
 
 // Memoized results must be byte-identical to the memo-free reference path

@@ -578,6 +578,7 @@ int cmd_metrics(const Args& args) {
   strategies::StrategyOptions options = options_from(args);
 
   const std::string plan_name = args.get("plan", "none");
+  std::optional<strategies::StrategyPlan> twin_plan;
   if (plan_name != "none") {
     const std::vector<std::string> known_plans = faults::named_fault_plans();
     if (std::find(known_plans.begin(), known_plans.end(), plan_name) ==
@@ -586,11 +587,13 @@ int cmd_metrics(const Args& args) {
                             join(known_plans, ", ") + ", none)");
     }
     // A healthy twin fixes the horizon the plan's relative offsets resolve
-    // against — same convention as the faults verb and the sweep engine.
+    // against — same convention as the faults verb and the sweep engine —
+    // and its strategy plan is the one the faulted run executes.
     auto baseline_app = make_app(args, platform);
     strategies::StrategyRunner baseline(*baseline_app, options);
+    twin_plan = baseline.plan(kind);
     const SimTime horizon =
-        std::max<SimTime>(1, baseline.run(kind).report.makespan);
+        std::max<SimTime>(1, baseline.execute(*twin_plan).report.makespan);
     const std::uint64_t seed =
         args.flag("seed") ? std::stoull(args.get("seed")) : 0;
     options.fault_plan = faults::make_named_plan(plan_name, horizon, seed,
@@ -600,7 +603,8 @@ int cmd_metrics(const Args& args) {
   auto app =
       make_app(args, platform, /*record_trace=*/false, /*record_obs=*/true);
   strategies::StrategyRunner runner(*app, options);
-  const strategies::StrategyResult result = runner.run(kind);
+  const strategies::StrategyResult result =
+      twin_plan ? runner.execute(*twin_plan) : runner.run(kind);
   HS_REQUIRE(result.report.obs != nullptr,
              "run produced no observability data");
   const obs::RunObservability& observed = *result.report.obs;
