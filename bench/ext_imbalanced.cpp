@@ -42,11 +42,7 @@ int main(int argc, char** argv) {
                                            hw::kCpuDevice, app.items());
     estimate.gpu = profiler.profile_device(
         app.executor(), app.single_kernel_factory(0), 1, app.items());
-    estimate.link_bytes_per_second =
-        profiler
-            .profile_link(app.executor(), app.single_kernel_factory(0), 1,
-                          app.items())
-            .bytes_per_second;
+    estimate.link_bytes_per_second = estimate.gpu.link_bytes_per_second;
     estimate.transfer_on_critical_path = true;
     const auto uniform = glinda::PartitionModel{}.solve(estimate, app.items());
     const rt::Program program = app.build_program(

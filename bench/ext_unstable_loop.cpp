@@ -43,9 +43,7 @@ int main(int argc, char** argv) {
         app.items());
     estimate.gpu = profiler.profile_device(
         app.executor(), app.single_kernel_factory(0), 1, app.items());
-    const auto link = profiler.profile_link(
-        app.executor(), app.single_kernel_factory(0), 1, app.items());
-    estimate.link_bytes_per_second = link.bytes_per_second;
+    estimate.link_bytes_per_second = estimate.gpu.link_bytes_per_second;
     estimate.transfer_on_critical_path = true;
     const auto decision =
         glinda::PartitionModel{}.solve(estimate, app.items());

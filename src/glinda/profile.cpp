@@ -49,8 +49,6 @@ Profiler::RawSample Profiler::run_sample(rt::Executor& executor,
   sample.h2d_bytes = static_cast<double>(report.transfers.h2d_bytes);
   sample.d2h_bytes = static_cast<double>(report.transfers.d2h_bytes);
   sample.transfer_seconds = to_seconds(report.transfers.total_time());
-  sample.transfer_count =
-      report.transfers.h2d_count + report.transfers.d2h_count;
   return sample;
 }
 
@@ -80,32 +78,12 @@ DeviceProfile Profiler::profile_device(rt::Executor& executor,
   profile.d2h_fixed_bytes =
       std::max(0.0, s1.d2h_bytes - profile.d2h_bytes_per_item *
                                        static_cast<double>(s1.items));
-  return profile;
-}
-
-LinkProfile Profiler::profile_link(rt::Executor& executor,
-                                   const SampleProgramFactory& factory,
-                                   hw::DeviceId device,
-                                   std::int64_t total_items) const {
-  const auto [small, large] = sample_sizes(total_items);
-  const RawSample s1 = run_sample(executor, factory, device, small);
-  const RawSample s2 = run_sample(executor, factory, device, large);
-
-  LinkProfile link;
   const double dbytes =
       (s2.h2d_bytes + s2.d2h_bytes) - (s1.h2d_bytes + s1.d2h_bytes);
   const double dseconds = s2.transfer_seconds - s1.transfer_seconds;
-  if (dbytes > 0.0 && dseconds > 0.0) {
-    link.bytes_per_second = dbytes / dseconds;
-    if (s1.transfer_count > 0) {
-      const double per_item_seconds =
-          dseconds / dbytes * (s1.h2d_bytes + s1.d2h_bytes);
-      link.fixed_seconds_per_transfer =
-          std::max(0.0, (s1.transfer_seconds - per_item_seconds) /
-                            static_cast<double>(s1.transfer_count));
-    }
-  }
-  return link;
+  if (dbytes > 0.0 && dseconds > 0.0)
+    profile.link_bytes_per_second = dbytes / dseconds;
+  return profile;
 }
 
 }  // namespace hetsched::glinda

@@ -29,16 +29,12 @@ struct DeviceProfile {
   /// Size-independent traffic, bytes (broadcast inputs, whole-problem data).
   double h2d_fixed_bytes = 0.0;
   double d2h_fixed_bytes = 0.0;
+  /// Host-link throughput, bytes/s end to end, fitted over the same two
+  /// samples' transfers; 0 when the samples moved no bytes (the CPU).
+  double link_bytes_per_second = 0.0;
 
   /// Whole-device throughput, items/s.
   double items_per_second() const { return 1.0 / seconds_per_item; }
-};
-
-/// Observed link performance (bytes/s end to end, fitted over the sampled
-/// transfers; 0 when the samples produced no transfers).
-struct LinkProfile {
-  double bytes_per_second = 0.0;
-  double fixed_seconds_per_transfer = 0.0;
 };
 
 /// Builds the program that exercises the workload slice [begin, end) pinned
@@ -61,19 +57,12 @@ class Profiler {
   explicit Profiler(ProfileOptions options = {}) : options_(options) {}
 
   /// Profiles `device` executing the factory's program over two sample
-  /// sizes. The executor's buffers/kernels must already be registered.
+  /// sizes; compute, traffic and link are all fitted from those two runs.
+  /// The executor's buffers/kernels must already be registered.
   DeviceProfile profile_device(rt::Executor& executor,
                                const SampleProgramFactory& factory,
                                hw::DeviceId device,
                                std::int64_t total_items) const;
-
-  /// Fits the link from the same two sample runs (uses the H2D+D2H volumes
-  /// and times observed while profiling `device`; meaningful for
-  /// accelerator devices only).
-  LinkProfile profile_link(rt::Executor& executor,
-                           const SampleProgramFactory& factory,
-                           hw::DeviceId device,
-                           std::int64_t total_items) const;
 
   /// The two sample sizes used for `total_items`.
   std::pair<std::int64_t, std::int64_t> sample_sizes(
@@ -86,7 +75,6 @@ class Profiler {
     double h2d_bytes = 0.0;
     double d2h_bytes = 0.0;
     double transfer_seconds = 0.0;
-    std::size_t transfer_count = 0;
   };
 
   RawSample run_sample(rt::Executor& executor,

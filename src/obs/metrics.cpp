@@ -121,27 +121,6 @@ void Histogram::observe(double value, double weight,
   }
 }
 
-double histogram_quantile(const Histogram& hist, double q) {
-  const double total = hist.total_weight();
-  if (total <= 0.0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double rank = q * total;
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < hist.bounds().size(); ++i) {
-    const double w = hist.weights()[i];
-    if (cumulative + w >= rank && w > 0.0) {
-      const double lower = i == 0 ? 0.0 : hist.bounds()[i - 1];
-      const double upper = hist.bounds()[i];
-      const double fraction = (rank - cumulative) / w;
-      return lower + (upper - lower) * fraction;
-    }
-    cumulative += w;
-  }
-  // Overflow bucket: no finite upper bound, clamp to the largest one.
-  return hist.bounds().empty() ? 0.0 : hist.bounds().back();
-}
-
 std::vector<double> Histogram::default_bounds() {
   // 0.01 ms .. ~164 s, powers of 4: wide enough for chunk computes and
   // whole-run distributions alike.

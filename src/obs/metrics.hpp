@@ -92,12 +92,6 @@ class Histogram {
   double total_weight_ = 0.0;
 };
 
-/// Prometheus-style quantile estimate (`q` in [0,1]) from a histogram's
-/// cumulative buckets: finds the bucket holding the q-th weight and
-/// interpolates linearly inside it. The overflow bucket clamps to the last
-/// finite bound. Returns 0 for an empty histogram.
-double histogram_quantile(const Histogram& hist, double q);
-
 /// A value that evolves over virtual time (queue depth, EMA estimate,
 /// in-flight transfers). Samples are recorded as absolute values or deltas
 /// in any order; `series()` integrates them into one (time, value) step

@@ -5,7 +5,8 @@
 #include "serve/protocol.hpp"
 
 /// Client side of the matchmaker daemon protocol, used by the
-/// `hetsched_cli query` verb, the loopback tests, and `bench serve`.
+/// `hetsched_cli query` verb, the fuzz serve oracle, the loopback tests,
+/// and hsbench's serve-zipf workload.
 namespace hetsched::serve {
 
 /// One TCP connection to a serve daemon. Frames are sent/received with the

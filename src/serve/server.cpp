@@ -524,13 +524,6 @@ void Server::note_queue_wait(double wait_ms, const std::string& trace_id) {
                                  kAlpha * wait_ms;
 }
 
-obs::Histogram Server::latency_histogram() const {
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  const obs::Histogram* hist =
-      metrics_.find_histogram(obs::kMetricServeRequestLatencyMs);
-  return hist != nullptr ? *hist : obs::Histogram();
-}
-
 void Server::handle_http(int fd, const std::string& request_line,
                          FrameReader& reader) {
   // Drain the header block; a scrape's headers are small and uninteresting.

@@ -44,7 +44,7 @@ DecisionExplanation explain_decision(apps::Application& app,
   out.match = analyzer::Matchmaker{}.match(app.descriptor());
 
   StrategyRunner runner(app, options);
-  const RateTable rates = runner.probe_rates(options.dp_perf_profile_instances);
+  const RateTable rates = runner.probe_rates();
   app.reset_data();
 
   const std::vector<hw::DeviceSpec> devices = platform.all_devices();

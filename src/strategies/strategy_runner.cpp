@@ -122,15 +122,18 @@ StrategyPlan StrategyRunner::plan(StrategyKind kind) const {
     case StrategyKind::kSPDag:
       // Profile every (kernel, device) pair and plan the chunked task graph
       // with the HEFT-style planner.
-      plan.rates = probe_rates(options_.dp_perf_profile_instances);
+      plan.rates = probe_rates();
       plan.dag = DagPlanner(app_.executor().platform(), plan.rates)
                      .plan(app_.executor().kernels(), chunked_program());
       break;
     case StrategyKind::kDPPerf:
-      // The profiling phase gives each device 3 task instances of the
-      // dynamic task size per kernel; it is excluded from the reported time
-      // (paper Section IV-A2).
-      plan.rates = probe_rates(options_.dp_perf_profile_instances);
+      // The paper's profiling phase gives each device 3 task instances of
+      // the dynamic task size per kernel, excluded from the reported time
+      // (Section IV-A2). Here one probe per (kernel, device) observes the
+      // same rate: profiling sees neither the fault plan nor the explore
+      // spec, and every probe starts from fresh memory, so repeats would
+      // replay the same virtual time.
+      plan.rates = probe_rates();
       break;
     case StrategyKind::kOnlyCpu:
     case StrategyKind::kOnlyGpu:
@@ -330,13 +333,12 @@ glinda::MultiDeviceEstimate StrategyRunner::estimate_for(
     estimate.devices.push_back(
         profiler.profile_device(executor, factory, d, total_items));
   }
-  // All accelerators share the one host link; fitting it through the first
-  // accelerator's samples observes that shared channel.
-  const glinda::LinkProfile link = profiler.profile_link(
-      executor, factory, kFirstAccelerator, total_items);
+  // All accelerators share the one host link; the first accelerator's
+  // samples observe that shared channel.
+  const double link =
+      estimate.devices[kFirstAccelerator].link_bytes_per_second;
   estimate.link_bytes_per_second =
-      link.bytes_per_second > 0.0 ? link.bytes_per_second
-                                  : platform.link.bandwidth_gbs * 1e9;
+      link > 0.0 ? link : platform.link.bandwidth_gbs * 1e9;
   return estimate;
 }
 
@@ -395,7 +397,7 @@ std::vector<glinda::MultiPartitionDecision> StrategyRunner::plan_sp_varied()
   return decisions;
 }
 
-RateTable StrategyRunner::probe_rates(int instances_per_pair) const {
+RateTable StrategyRunner::probe_rates() const {
   // Each probe runs in a fresh memory state, so the observed rate includes
   // the transfer latencies a real instance pays.
   RateTable rates;
@@ -405,17 +407,13 @@ RateTable StrategyRunner::probe_rates(int instances_per_pair) const {
     const std::int64_t chunk = std::max<std::int64_t>(
         1, app_.items_of(k) / options_.task_count);
     for (hw::DeviceId device = 0; device < devices; ++device) {
-      double rate = 0.0;
-      for (int probe = 0; probe < instances_per_pair; ++probe) {
-        rt::Program probe_program;
-        probe_program.submit(kernel, 0, chunk, device);
-        probe_program.taskwait();
-        const rt::ExecutionReport probe_report =
-            app_.executor().execute_pinned(probe_program);
-        const double seconds = to_seconds(probe_report.makespan);
-        if (seconds > 0.0) rate = static_cast<double>(chunk) / seconds;
-      }
-      if (rate > 0.0) rates[{kernel, device}] = rate;
+      rt::Program probe_program;
+      probe_program.submit(kernel, 0, chunk, device);
+      probe_program.taskwait();
+      const double seconds = to_seconds(
+          app_.executor().execute_pinned(probe_program).makespan);
+      if (seconds > 0.0)
+        rates[{kernel, device}] = static_cast<double>(chunk) / seconds;
     }
   }
   return rates;

@@ -31,9 +31,11 @@
 ///               the fully pinned task graph.
 ///   DP-Dep      nothing | chunked, unpinned submission under the
 ///               breadth-first / locality scheduler.
-///   DP-Perf     A profiling phase that gives each device 3 task instances
-///               per kernel (excluded from the reported time, as in the
-///               paper) | chunked, unpinned submission under the
+///   DP-Perf     The paper's profiling phase gives each device 3 task
+///               instances per kernel, excluded from the reported time; one
+///               fresh-memory probe per (kernel, device) observes the same
+///               rate here, since profiling sees no fault plan or explore
+///               spec | chunked, unpinned submission under the
 ///               performance-aware scheduler seeded with those rates.
 ///   Only-CPU /  nothing | all work pinned to one device (the paper's
 ///   Only-GPU    baseline executions).
@@ -54,8 +56,6 @@ struct StrategyOptions {
   bool sync_between_kernels = false;
   glinda::ProfileOptions profile;
   glinda::PartitionOptions partition;
-  /// DP-Perf profiling instances per (kernel, device).
-  int dp_perf_profile_instances = 3;
   /// Fault plan armed around the MEASURED execution only. Profiling runs
   /// (Glinda sampling, DP-Perf seeding probes) observe the healthy
   /// platform — the paper profiles before the perturbation happens — so
@@ -132,10 +132,10 @@ class StrategyRunner {
 
   const StrategyOptions& options() const { return options_; }
 
-  /// Probes every (kernel, device) pair with a few pinned chunk instances
-  /// in fresh memory state and returns the observed rates — the profiling
+  /// Probes every (kernel, device) pair with one pinned chunk instance in
+  /// fresh memory state and returns the observed rates — the profiling
   /// phase shared by DP-Perf, the SP-DAG planner, and decision explanation.
-  RateTable probe_rates(int instances_per_pair) const;
+  RateTable probe_rates() const;
 
   /// The accelerator Only-GPU runs on and the shared host link is
   /// profiled through. On 1-accelerator platforms this is THE accelerator.

@@ -136,19 +136,19 @@ TEST_F(ProfilerTest, BroadcastInputShowsUpAsFixedBytes) {
   EXPECT_NEAR(profile.h2d_bytes_per_item, 4.0, 0.1);
 }
 
-TEST_F(ProfilerTest, LinkProfileRecoversBandwidth) {
+TEST_F(ProfilerTest, LinkFitRecoversBandwidth) {
   Profiler profiler;
-  const LinkProfile link =
-      profiler.profile_link(exec_, factory(map_kernel_), kGpu, kItems);
+  const DeviceProfile profile =
+      profiler.profile_device(exec_, factory(map_kernel_), kGpu, kItems);
   // Reference platform link: 6 GB/s.
-  EXPECT_NEAR(link.bytes_per_second, 6e9, 0.1 * 6e9);
+  EXPECT_NEAR(profile.link_bytes_per_second, 6e9, 0.1 * 6e9);
 }
 
-TEST_F(ProfilerTest, LinkProfileEmptyWhenNoTransfers) {
+TEST_F(ProfilerTest, LinkFitZeroWhenNoTransfers) {
   Profiler profiler;
-  const LinkProfile link =
-      profiler.profile_link(exec_, factory(map_kernel_), kCpu, kItems);
-  EXPECT_EQ(link.bytes_per_second, 0.0);
+  const DeviceProfile profile =
+      profiler.profile_device(exec_, factory(map_kernel_), kCpu, kItems);
+  EXPECT_EQ(profile.link_bytes_per_second, 0.0);
 }
 
 TEST_F(ProfilerTest, ProfilingIsDeterministic) {

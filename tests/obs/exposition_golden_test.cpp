@@ -79,27 +79,5 @@ TEST(ExpositionGolden, JsonGrowsExemplarsMemberOnlyWhenTraced) {
   EXPECT_NE(dumped.find("cafe000000000001"), std::string::npos);
 }
 
-TEST(HistogramQuantileTest, InterpolatesWithinBuckets) {
-  Histogram hist({10.0, 20.0});
-  for (int i = 0; i < 10; ++i) hist.observe(5.0);   // bucket [0, 10]
-  for (int i = 0; i < 10; ++i) hist.observe(15.0);  // bucket (10, 20]
-  // Median: rank 10 lands exactly at the first bucket's upper bound.
-  EXPECT_DOUBLE_EQ(histogram_quantile(hist, 0.5), 10.0);
-  // p75: rank 15, halfway through the second bucket.
-  EXPECT_DOUBLE_EQ(histogram_quantile(hist, 0.75), 15.0);
-  EXPECT_DOUBLE_EQ(histogram_quantile(hist, 0.0), 0.0);
-}
-
-TEST(HistogramQuantileTest, EdgeCases) {
-  Histogram empty({1.0});
-  EXPECT_DOUBLE_EQ(histogram_quantile(empty, 0.99), 0.0);
-
-  // Everything in the overflow bucket: the quantile saturates at the
-  // largest finite bound (the histogram cannot see past it).
-  Histogram overflow({1.0, 2.0});
-  overflow.observe(100.0);
-  EXPECT_DOUBLE_EQ(histogram_quantile(overflow, 0.5), 2.0);
-}
-
 }  // namespace
 }  // namespace hetsched::obs

@@ -8,6 +8,7 @@
 #include "common/time.hpp"
 #include "faults/fault_plan.hpp"
 #include "hw/platform.hpp"
+#include "obs/phase_profiler.hpp"
 #include "runtime/report.hpp"
 #include "strategies/strategy_runner.hpp"
 
@@ -121,6 +122,49 @@ TEST(StrategyPlan, PlansOnlyWhatTheStrategyDecides) {
   EXPECT_EQ(runner.plan(StrategyKind::kSPVaried).decisions.size(), 4u);
   EXPECT_TRUE(runner.plan(StrategyKind::kDPPerf).decisions.empty());
   EXPECT_FALSE(runner.plan(StrategyKind::kDPPerf).rates.empty());
+}
+
+std::int64_t event_loop_calls() {
+  const auto stages = obs::phase_profiler().snapshot();
+  const auto it = stages.find(std::string(obs::kPhaseSimEventLoop));
+  return it == stages.end() ? 0 : it->second.calls;
+}
+
+// Every profiling execution is one event loop. Glinda fits each device's
+// compute, traffic and link from its own two samples, and the rate probes
+// run one instance per (kernel, device): repeating either replays the same
+// virtual time.
+TEST(StrategyPlan, PlanningExecutesEachSampleOnce) {
+  struct Expected {
+    PaperApp app;
+    StrategyKind kind;
+    std::int64_t per_device;  ///< event loops per device (per kernel if set)
+    bool per_kernel;
+  };
+  const Expected cases[] = {
+      {PaperApp::kMatrixMul, StrategyKind::kSPSingle, 2, false},
+      {PaperApp::kStreamSeq, StrategyKind::kSPUnified, 2, false},
+      {PaperApp::kStreamSeq, StrategyKind::kSPVaried, 2, true},
+      {PaperApp::kMatrixMul, StrategyKind::kDPPerf, 1, true},
+      {PaperApp::kStreamSeq, StrategyKind::kDPPerf, 1, true},
+      {PaperApp::kStreamLoop, StrategyKind::kSPDag, 1, true},
+  };
+  for (const char* platform_name : {"reference", "quad"}) {
+    const hw::PlatformSpec platform = hw::platform_by_name(platform_name);
+    for (const Expected& expected : cases) {
+      auto app = make_app(expected.app, platform);
+      const auto kernels = static_cast<std::int64_t>(app->kernels().size());
+      const std::int64_t executions =
+          expected.per_device *
+          static_cast<std::int64_t>(platform.device_count()) *
+          (expected.per_kernel ? kernels : 1);
+      const StrategyRunner runner(*app);
+      const std::int64_t before = event_loop_calls();
+      (void)runner.plan(expected.kind);
+      EXPECT_EQ(event_loop_calls() - before, executions)
+          << label({expected.app, expected.kind}, platform_name);
+    }
+  }
 }
 
 TEST(StrategyPlan, ExecuteRejectsAPlanForAnotherApplication) {

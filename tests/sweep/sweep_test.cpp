@@ -106,6 +106,8 @@ TEST(SweepEngine, SecondRunHitsTheCache) {
   EXPECT_EQ(warm.summary.cache_hits, 1u);
   EXPECT_EQ(warm.summary.computed, 0u);
   EXPECT_TRUE(warm.outcomes[0].cache_hit);
+  // The served payload carries the simulated work it stands for.
+  EXPECT_GT(cold.outcomes[0].metrics.sim_events, 0);
   EXPECT_EQ(warm.outcomes[0].to_payload(), cold.outcomes[0].to_payload());
   fs::remove_all(dir);
 }

@@ -30,11 +30,6 @@
 ///   hetsched_cli explain --app <name> [--json] [--sync] [--tasks <m>]
 ///                        [--platform <p>] [--small]
 ///                        # matchmaker decision + predicted-time inputs
-///   hetsched_cli bench   [--paper-size] [--serial] [--jobs N] [--seeds S]
-///                        [--quick] [--cache-dir <dir>] [--out <file>]
-///                        # sweep hot-path benchmark (sim_core / cold /
-///                        # warm / shared twins), writes BENCH_sweep.json
-///                        # by default; --quick is the smallest smoke run
 ///   hetsched_cli fuzz    [--seed N] [--iters K] [--corpus <file>]
 ///                        [--repro <file>] [--out <file>] [--no-shrink]
 ///                        [--plant <mutation>] [--oracles] [--serve]
@@ -68,7 +63,6 @@
 /// The usage string main() prints is generated from the same verb table
 /// that dispatches commands, so it cannot drift from what actually runs.
 #include <algorithm>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -91,12 +85,10 @@
 #include "obs/log.hpp"
 #include "obs/observability.hpp"
 #include "serve/client.hpp"
-#include "serve/serve_bench.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "strategies/autotune.hpp"
 #include "strategies/strategy_runner.hpp"
-#include "sweep/bench.hpp"
 #include "sweep/sweep.hpp"
 
 namespace {
@@ -632,97 +624,6 @@ int cmd_metrics(const Args& args) {
   return 0;
 }
 
-int cmd_bench(const Args& args) {
-  sweep::BenchOptions options;
-  // The benchmark defaults to the small functional configs so the `bench`
-  // ctest label stays a smoke run; --paper-size measures the real sizes.
-  options.small = !args.flag("paper-size");
-  options.parallel = !args.flag("serial");
-  if (args.flag("jobs"))
-    options.jobs = static_cast<unsigned>(std::stoul(args.get("jobs")));
-  if (args.flag("seeds")) options.fault_seeds = std::stoi(args.get("seeds"));
-  options.cache_dir = args.get("cache-dir", ".hs-bench-cache");
-  if (args.flag("quick")) {
-    // Smallest run that still produces the full JSON document — a contract
-    // smoke for CI (ctest label simcore), not a measurement.
-    options.small = true;
-    options.fault_seeds = 2;
-    options.sim_core_reps = 2;
-  }
-
-  const sweep::BenchResult result = sweep::run_bench(options);
-
-  const auto print_phase = [](const sweep::BenchPhase& phase) {
-    std::cout << "  " << phase.name << ": " << phase.summary.scenarios
-              << " scenario(s) in " << format_fixed(phase.wall_ms, 1)
-              << " ms — " << phase.summary.computed << " computed, "
-              << phase.summary.cache_hits << " cache hit(s), "
-              << phase.summary.twin_computes << " twin(s) computed, "
-              << phase.summary.twin_memo_hits << " twin memo hit(s); "
-              << phase.sim_events << " sim events (";
-    // Rate is unset when the phase ran faster than the clock tick.
-    if (phase.events_per_second)
-      std::cout << format_fixed(*phase.events_per_second / 1e6, 2) << " M/s";
-    else
-      std::cout << "n/a";
-    std::cout << ")\n";
-  };
-  std::cout << "sweep bench ("
-            << (options.small ? "small configs" : "paper sizes") << ", "
-            << (options.parallel ? "parallel" : "serial") << "):\n";
-  print_phase(result.sim_core);
-  print_phase(result.cold);
-  print_phase(result.warm);
-  print_phase(result.twins);
-  print_phase(result.sim_core_quad);
-
-  if (args.flag("quick")) {
-    // Smoke guard: the event core must still produce work and a sane rate
-    // on the 4-device quad platform, not just the reference CPU+GPU pair.
-    for (const sweep::BenchPhase* phase :
-         {&result.sim_core, &result.sim_core_quad}) {
-      HS_REQUIRE(phase->sim_events > 0,
-                 phase->name << " simulated no events");
-      HS_REQUIRE(!phase->events_per_second ||
-                     (std::isfinite(*phase->events_per_second) &&
-                      *phase->events_per_second > 0.0),
-                 phase->name << " produced a non-finite event rate");
-    }
-  }
-
-  // Fourth phase: loopback serve-daemon throughput (requests/s), folded
-  // into the same BENCH document. --no-serve skips it (e.g. a sandbox
-  // without loopback networking).
-  std::vector<json::Value> extra_phases;
-  if (!args.flag("no-serve")) {
-    serve::ServeBenchOptions serve_options;
-    if (args.flag("clients"))
-      serve_options.clients =
-          static_cast<unsigned>(std::stoul(args.get("clients")));
-    if (args.flag("requests"))
-      serve_options.requests_per_client = std::stoi(args.get("requests"));
-    const serve::ServeBenchResult served =
-        serve::run_serve_bench(serve_options);
-    std::cout << "  serve_loopback: " << served.requests << " request(s) ("
-              << serve_options.clients << " clients) in "
-              << format_fixed(served.wall_ms, 1) << " ms — "
-              << served.cache_hits << " cache hit(s), " << served.errors
-              << " error(s); "
-              << (served.requests_per_second
-                      ? format_fixed(*served.requests_per_second, 0)
-                      : std::string("n/a"))
-              << " req/s\n";
-    extra_phases.push_back(serve::serve_bench_to_json(served));
-  }
-
-  const std::string out = args.get("out", "BENCH_sweep.json");
-  std::ofstream file(out);
-  HS_REQUIRE(file.good(), "cannot open '" << out << "' for writing");
-  file << sweep::bench_to_json(result, extra_phases) << "\n";
-  std::cout << "wrote " << out << "\n";
-  return 0;
-}
-
 int cmd_fuzz(const Args& args) {
   if (args.flag("oracles")) {
     for (const std::string& name : check::oracle_names())
@@ -975,7 +876,6 @@ const std::vector<Verb>& verb_table() {
       {"faults", cmd_faults},
       {"metrics", cmd_metrics},
       {"explain", cmd_explain},
-      {"bench", cmd_bench},
       {"fuzz", cmd_fuzz},
       {"serve", cmd_serve},
       {"query", cmd_query},
