@@ -2,10 +2,10 @@
 ///
 /// The paper's Discussion attributes dynamic partitioning's deficit to
 /// "scheduling overhead at runtime". This sweep scales the per-task runtime
-/// costs (creation, dispatch, taskwait) and the scheduling-decision cost
-/// from one tenth to one hundred times the defaults, showing the
-/// static-vs-dynamic gap widening with overhead while static partitioning
-/// is barely touched.
+/// costs in RuntimeCosts (creation, dispatch, taskwait) from one tenth to
+/// one hundred times the defaults, showing the static-vs-dynamic gap
+/// widening with overhead while static partitioning is barely touched. The
+/// schedulers' per-decision costs are constants and stay unscaled.
 #include "bench/bench_util.hpp"
 
 #include "runtime/executor.hpp"

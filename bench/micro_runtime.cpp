@@ -39,7 +39,6 @@ BENCHMARK(BM_EngineScheduleAndRun)->Arg(1000)->Arg(100000);
 
 void BM_ResourceReserve(benchmark::State& state) {
   sim::Resource resource("lane");
-  resource.set_record_history(false);
   SimTime now = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(resource.reserve(now, 10));

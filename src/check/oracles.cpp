@@ -858,12 +858,9 @@ std::vector<Violation> run_impl(const FuzzCase& c, const std::string& only,
     if (traced.trace_json.empty())
       add(out, "trace-validity", "traced run recorded no timeline for ",
           c.scenario.label());
-    // Tracing is observation: stripped of the recording itself, a traced
-    // run's canonical payload must match the untraced one byte for byte.
-    sweep::ScenarioOutcome stripped = traced;
-    stripped.trace_json.clear();
-    stripped.trace_violations.clear();
-    if (stripped.to_payload() != base.to_payload())
+    // Tracing is observation: the trace is run metadata, so a traced run's
+    // canonical payload must match the untraced one byte for byte.
+    if (traced.to_payload() != base.to_payload())
       add(out, "trace-validity",
           "recording a trace changed the canonical payload of ",
           c.scenario.label());

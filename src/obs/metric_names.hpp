@@ -11,9 +11,6 @@
 ///   - snake_case names ([a-z][a-z0-9_]*)
 ///   - no duplicates
 ///   - every name documented in docs/observability.md
-///
-/// Sweep-layer counter names predate this header and live in
-/// obs/metrics.hpp (kSweep*); the lint covers both files.
 namespace hetsched::obs {
 
 // --- serve request flow ---

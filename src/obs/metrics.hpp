@@ -34,18 +34,6 @@ std::string metric_key(
     std::initializer_list<std::pair<std::string_view, std::string_view>>
         labels);
 
-/// Well-known counter names the sweep performance layer records when a
-/// registry is wired through SweepOptions::metrics. Declared here so sweep
-/// code, tests, and dashboards agree on the spelling.
-inline constexpr std::string_view kSweepTwinMemoHits = "twin_memo_hits";
-inline constexpr std::string_view kSweepTwinComputes = "twin_computes";
-inline constexpr std::string_view kSweepScenarioDedupHits =
-    "scenario_dedup_hits";
-inline constexpr std::string_view kSweepCacheHits = "sweep_cache_hits";
-inline constexpr std::string_view kSweepCacheMisses = "sweep_cache_misses";
-inline constexpr std::string_view kSweepCacheDroppedStores =
-    "sweep_cache_dropped_stores";
-
 /// A histogram over explicit bucket upper bounds with weighted observations
 /// (weight = duration for time-weighted distributions, 1 for plain counts).
 /// Bucket i holds the total weight of values <= bounds[i] (first matching

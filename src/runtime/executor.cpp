@@ -111,13 +111,6 @@ class Run {
     running_ = arena_.make_array<InFlight>(lanes_.size());
     running_valid_ = arena_.make_array<std::uint8_t>(lanes_.size());
 
-    // Per-span history on the lanes and the link only feeds traces and
-    // tests; untraced runs (the sweep hot path) skip it so every reserve()
-    // stops copying a label string into a history vector.
-    for (sim::Resource& lane : lanes_)
-      lane.set_record_history(options_.record_trace);
-    link_.set_record_history(options_.record_trace);
-
     if (explore_ != nullptr) {
       // Equal-timestamp event ordering becomes the strategy's first class
       // of decision sites; queue pops and fault-detection latency are the
@@ -469,13 +462,7 @@ class Run {
       obs_->metrics.counter_add(dispatch_key_[d], 1);
       obs_->metrics.observe(compute_hist_key_[d], to_millis(compute));
     }
-    // The reservation label only surfaces via lane history (traces); skip
-    // the three-way string concatenation on the untraced hot path.
-    lane.reserve(now, end - now,
-                 options_.record_trace
-                     ? kernel.name + " [" + std::to_string(node.begin) + "," +
-                           std::to_string(node.end) + ")"
-                     : std::string());
+    lane.reserve(now, end - now);
 
     // At most once per task: a chunk displaced by a device failure is
     // re-dispatched elsewhere, and non-idempotent kernel bodies must not
@@ -530,8 +517,8 @@ class Run {
     const SimTime nominal = cost_model_.transfer_time(
         platform_.link, static_cast<double>(op.size_bytes()));
     const bool to_host = op.dst == mem::kHostSpace;
-    // Labels feed the trace (via the returned span) and lane history; an
-    // untraced run never reads them, so skip the concatenation.
+    // The label only feeds the trace; an untraced run skips the
+    // concatenation.
     std::string label;
     if (options_.record_trace) {
       label = std::string(to_host ? "D2H " : "H2D ") +
@@ -544,8 +531,8 @@ class Run {
       start = std::max(start, co_lane->earliest_start(arrival));
     const SimTime duration =
         injector_ ? injector_->stretch_link(start, nominal) : nominal;
-    if (co_lane != nullptr) co_lane->reserve(start, duration, label);
-    const sim::BusySpan span = link_.reserve(start, duration, label);
+    if (co_lane != nullptr) co_lane->reserve(start, duration);
+    const sim::BusySpan span = link_.reserve(start, duration);
     obs_track("inflight_transfers", start, 1);
     obs_track("inflight_transfers", start + duration, -1);
     obs_count(to_host ? "transfers_d2h" : "transfers_h2d");
@@ -562,7 +549,7 @@ class Run {
       report_.transfers.h2d_time += duration;
     }
     if (options_.record_trace) {
-      report_.trace.record(link_.name(), span.label,
+      report_.trace.record(link_.name(), std::move(label),
                            to_host ? sim::TraceKind::kTransferD2H
                                    : sim::TraceKind::kTransferH2D,
                            span.start, span.end);

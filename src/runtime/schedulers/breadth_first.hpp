@@ -20,11 +20,11 @@ namespace hetsched::rt {
 
 class BreadthFirstScheduler final : public Scheduler {
  public:
-  explicit BreadthFirstScheduler(SimTime decision_cost = 1 * kMicrosecond)
-      : decision_cost_(decision_cost) {}
+  /// Virtual time one placement decision costs.
+  static constexpr SimTime kDecisionCost = 1 * kMicrosecond;
 
   std::string name() const override { return "breadth-first"; }
-  SimTime decision_cost() const override { return decision_cost_; }
+  SimTime decision_cost() const override { return kDecisionCost; }
 
   std::optional<std::size_t> pick(hw::DeviceId device,
                                   const std::vector<SchedTask>& pool,
@@ -43,9 +43,6 @@ class BreadthFirstScheduler final : public Scheduler {
     // performance information to judge whether a steal would pay off.
     return no_affinity;
   }
-
- private:
-  SimTime decision_cost_;
 };
 
 }  // namespace hetsched::rt

@@ -29,7 +29,7 @@
 /// exceeds one CPU-lane instance), reproducing Section IV-B1.
 ///
 /// Probe-and-forgive: after a divergence drain benches a device, every
-/// `probe_every` completions elsewhere the scheduler asks the executor for
+/// `kProbeEvery` completions elsewhere the scheduler asks the executor for
 /// one probe chunk to the benched device. When that chunk completes, the
 /// poisoned (kernel, device) estimate is dropped and re-seeded from the
 /// fresh observation — so a *transient* slowdown costs a few probes, and
@@ -39,21 +39,21 @@ namespace hetsched::rt {
 
 class PerfAwareScheduler final : public Scheduler {
  public:
-  explicit PerfAwareScheduler(SimTime decision_cost = 5 * kMicrosecond,
-                              double ema_alpha = 0.5,
-                              bool compute_only_estimates = false,
-                              double locality_margin = 1.0,
-                              int probe_every = 4)
-      : decision_cost_(decision_cost),
-        ema_alpha_(ema_alpha),
-        compute_only_estimates_(compute_only_estimates),
-        locality_margin_(locality_margin),
-        probe_every_(probe_every) {
-    HS_REQUIRE(probe_every > 0, "probe_every=" << probe_every);
-  }
+  /// Virtual time one placement decision costs.
+  static constexpr SimTime kDecisionCost = 5 * kMicrosecond;
+  /// Weight of the newest observation in the throughput estimates.
+  static constexpr double kEmaAlpha = 0.5;
+  /// A task stays on its data's device when that device's estimated finish
+  /// is at most (1 + kLocalityMargin) times the best one.
+  static constexpr double kLocalityMargin = 1.0;
+  /// Completions elsewhere between probe chunks to a benched device.
+  static constexpr int kProbeEvery = 4;
+
+  explicit PerfAwareScheduler(bool compute_only_estimates = false)
+      : compute_only_estimates_(compute_only_estimates) {}
 
   std::string name() const override { return "perf-aware"; }
-  SimTime decision_cost() const override { return decision_cost_; }
+  SimTime decision_cost() const override { return kDecisionCost; }
 
   /// Seeds the (kernel, device) throughput estimate, in items/second of one
   /// lane — the output of the profiling phase. Strategies measure this by
@@ -145,7 +145,7 @@ class PerfAwareScheduler final : public Scheduler {
       const SimTime local_finish =
           estimated_finish(task, *task.locality, now);
       if (static_cast<double>(local_finish) <=
-          (1.0 + locality_margin_) * static_cast<double>(best_finish)) {
+          (1.0 + kLocalityMargin) * static_cast<double>(best_finish)) {
         best = *task.locality;
         locality_won = true;
       }
@@ -216,7 +216,7 @@ class PerfAwareScheduler final : public Scheduler {
     (void)now;
     for (hw::DeviceId d = 0; d < diverged_.size(); ++d) {
       if (diverged_[d] && !dead_[d] && !probe_outstanding_[d] &&
-          completions_since_probe_[d] >= probe_every_)
+          completions_since_probe_[d] >= kProbeEvery)
         return d;
     }
     return std::nullopt;
@@ -237,7 +237,7 @@ class PerfAwareScheduler final : public Scheduler {
     // `duration` of link time. Learned per item and added to future
     // duration estimates for the device.
     auto [it, inserted] = flush_penalty_.try_emplace(
-        std::make_pair(task.kernel, device), Ema{ema_alpha_});
+        std::make_pair(task.kernel, device), Ema{kEmaAlpha});
     it->second.add(to_seconds(duration) / static_cast<double>(task.items));
   }
 
@@ -252,7 +252,7 @@ class PerfAwareScheduler final : public Scheduler {
  private:
   Ema& estimate(KernelId kernel, hw::DeviceId device) {
     auto [it, inserted] =
-        estimates_.try_emplace({kernel, device}, Ema{ema_alpha_});
+        estimates_.try_emplace({kernel, device}, Ema{kEmaAlpha});
     return it->second;
   }
 
@@ -319,11 +319,7 @@ class PerfAwareScheduler final : public Scheduler {
     lanes[slot] = start + duration;
   }
 
-  SimTime decision_cost_;
-  double ema_alpha_;
   bool compute_only_estimates_;
-  double locality_margin_;
-  int probe_every_;
   std::map<std::pair<KernelId, hw::DeviceId>, Ema> estimates_;
   std::map<std::pair<KernelId, hw::DeviceId>, Ema> flush_penalty_;
   std::vector<std::vector<SimTime>> lane_available_;

@@ -20,11 +20,11 @@ namespace hetsched::rt {
 
 class WorkStealingScheduler final : public Scheduler {
  public:
-  explicit WorkStealingScheduler(SimTime decision_cost = 1 * kMicrosecond)
-      : decision_cost_(decision_cost) {}
+  /// Virtual time one placement decision costs.
+  static constexpr SimTime kDecisionCost = 1 * kMicrosecond;
 
   std::string name() const override { return "work-stealing"; }
-  SimTime decision_cost() const override { return decision_cost_; }
+  SimTime decision_cost() const override { return kDecisionCost; }
 
   std::optional<std::size_t> pick(hw::DeviceId device,
                                   const std::vector<SchedTask>& pool,
@@ -50,7 +50,6 @@ class WorkStealingScheduler final : public Scheduler {
   std::size_t steal_count() const { return steals_; }
 
  private:
-  SimTime decision_cost_;
   std::size_t steals_ = 0;
 };
 

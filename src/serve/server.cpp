@@ -28,10 +28,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Bounded decision audit: old entries rotate out, the log never grows
-/// without limit in a long-running daemon.
-constexpr std::size_t kMaxAuditEntries = 4096;
-
 void set_socket_timeouts(int fd, int timeout_ms) {
   timeval tv{};
   tv.tv_sec = timeout_ms / 1000;
@@ -191,7 +187,7 @@ void Server::acceptor_loop() {
       response.status = ResponseStatus::kShuttingDown;
       response.error = "daemon is shutting down";
       write_frame(fd, response.to_json());
-      record_response(nullptr, ResponseStatus::kShuttingDown, false, 0.0);
+      record_response(nullptr, ResponseStatus::kShuttingDown, 0.0);
       ::close(fd);
       continue;
     }
@@ -208,7 +204,7 @@ void Server::acceptor_loop() {
       response.error = "request queue full";
       response.retry_after_ms = overload_retry_hint_ms();
       write_frame(fd, response.to_json());
-      record_response(nullptr, ResponseStatus::kOverload, false, 0.0);
+      record_response(nullptr, ResponseStatus::kOverload, 0.0);
       ::close(fd);
       continue;
     }
@@ -255,7 +251,7 @@ void Server::serve_connection(const AdmittedConnection& connection,
       response.error = "frame exceeds " + std::to_string(kMaxFrameBytes) +
                        " bytes";
       write_frame(fd, response.to_json());
-      record_response(nullptr, ResponseStatus::kError, false, 0.0);
+      record_response(nullptr, ResponseStatus::kError, 0.0);
       break;
     }
     if (result != FrameReader::Result::kFrame) break;
@@ -299,14 +295,16 @@ bool Server::handle_query_frame(int fd, const std::string& frame,
   try {
     request = QueryRequest::from_json(json::Value::parse(frame));
   } catch (const Error& error) {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    metrics_.counter_add(obs::kMetricServeBadFrames);
+    {
+      std::lock_guard<std::mutex> lock(metrics_mutex_);
+      metrics_.counter_add(obs::kMetricServeBadFrames);
+    }
     QueryResponse response;
     response.status = ResponseStatus::kError;
     response.error = error.what();
     response.trace_id = builder.trace_id();
     write_frame(fd, response.to_json());
-    responses_error_.fetch_add(1, std::memory_order_relaxed);
+    record_response(nullptr, ResponseStatus::kError, 0.0);
     return false;  // a peer speaking garbage gets disconnected
   }
   builder.close(parse_span);
@@ -326,7 +324,7 @@ bool Server::handle_query_frame(int fd, const std::string& frame,
     response.output = "shutting down\n";
     response.trace_id = builder.trace_id();
     const bool sent = write_frame(fd, response.to_json());
-    record_response(&request, ResponseStatus::kOk, false, elapsed_ms(start),
+    record_response(&request, ResponseStatus::kOk, elapsed_ms(start),
                     builder.trace_id());
     audit(request, ResponseStatus::kOk, false, builder.trace_id());
     return sent && false;
@@ -337,7 +335,7 @@ bool Server::handle_query_frame(int fd, const std::string& frame,
     // (dumping traces should not displace the traces being dumped).
     QueryResponse response = respond_trace_dump(request);
     const bool sent = write_frame(fd, response.to_json());
-    record_response(nullptr, response.status, false, 0.0);
+    record_response(nullptr, response.status, 0.0);
     audit(request, response.status, false, builder.trace_id());
     return sent;
   }
@@ -345,8 +343,7 @@ bool Server::handle_query_frame(int fd, const std::string& frame,
   builder.close(handle_span);
   const QueryResponse response = respond(request, builder);
   const double latency_ms = elapsed_ms(start);
-  record_response(&request, response.status, response.cache_hit, latency_ms,
-                  builder.trace_id());
+  record_response(&request, response.status, latency_ms, builder.trace_id());
   audit(request, response.status, response.cache_hit, builder.trace_id());
 
   const std::uint64_t write_span = builder.open(obs::kStageWrite);
@@ -433,23 +430,8 @@ QueryResponse Server::respond_trace_dump(const QueryRequest& request) {
 }
 
 void Server::record_response(const QueryRequest* request,
-                             ResponseStatus status, bool cache_hit,
-                             double latency_ms, std::string_view trace_id) {
-  (void)cache_hit;
-  switch (status) {
-    case ResponseStatus::kOk:
-      responses_ok_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ResponseStatus::kError:
-      responses_error_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ResponseStatus::kOverload:
-      responses_overload_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ResponseStatus::kShuttingDown:
-      responses_shutting_down_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
+                             ResponseStatus status, double latency_ms,
+                             std::string_view trace_id) {
   std::lock_guard<std::mutex> lock(metrics_mutex_);
   metrics_.counter_add(obs::metric_key(
       obs::kMetricServeResponses,
@@ -470,17 +452,6 @@ void Server::audit(const QueryRequest& request, ResponseStatus status,
       .field("status", response_status_name(status))
       .field("source", cache_hit ? "cache" : "computed")
       .emit();
-  std::lock_guard<std::mutex> lock(audit_mutex_);
-  ServeAuditEntry entry;
-  entry.sequence = ++audit_sequence_;
-  entry.trace_id = trace_id;
-  entry.op = request.op;
-  entry.app = request.app;
-  entry.status = response_status_name(status);
-  entry.cache_hit = cache_hit;
-  if (audit_log_.size() >= kMaxAuditEntries)
-    audit_log_.erase(audit_log_.begin());
-  audit_log_.push_back(std::move(entry));
 }
 
 void Server::publish_trace(obs::RequestTree tree) {
@@ -603,25 +574,6 @@ std::string Server::metrics_prometheus() const {
         static_cast<double>(stats.calls));
   }
   return metrics_.to_prometheus();
-}
-
-std::vector<ServeAuditEntry> Server::audit_log() const {
-  std::lock_guard<std::mutex> lock(audit_mutex_);
-  return audit_log_;
-}
-
-std::int64_t Server::responses_sent(ResponseStatus status) const {
-  switch (status) {
-    case ResponseStatus::kOk:
-      return responses_ok_.load(std::memory_order_relaxed);
-    case ResponseStatus::kError:
-      return responses_error_.load(std::memory_order_relaxed);
-    case ResponseStatus::kOverload:
-      return responses_overload_.load(std::memory_order_relaxed);
-    case ResponseStatus::kShuttingDown:
-      return responses_shutting_down_.load(std::memory_order_relaxed);
-  }
-  return 0;
 }
 
 }  // namespace hetsched::serve

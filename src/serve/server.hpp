@@ -62,16 +62,6 @@ struct ServeOptions {
   std::size_t trace_capacity = 256;
 };
 
-/// One audit entry per served query decision.
-struct ServeAuditEntry {
-  std::int64_t sequence = 0;
-  std::string trace_id;  ///< correlates the entry with its request tree
-  std::string op;
-  std::string app;
-  std::string status;  ///< response_status_name of what was sent
-  bool cache_hit = false;
-};
-
 class Server {
  public:
   explicit Server(ServeOptions options);
@@ -113,11 +103,6 @@ class Server {
   const AdmissionQueue& queue() const { return *queue_; }
   /// Finished request span trees (bounded ring; what trace-dump serves).
   const obs::RequestTraceStore& traces() const { return traces_; }
-  /// Decision audit log (bounded; newest entries win).
-  std::vector<ServeAuditEntry> audit_log() const;
-
-  /// Total query frames answered, by response status (for tests).
-  std::int64_t responses_sent(ResponseStatus status) const;
 
  private:
   /// Trace context of one frame being handled (built per frame by
@@ -145,9 +130,11 @@ class Server {
   QueryResponse respond(const QueryRequest& request,
                         obs::RequestTraceBuilder& builder);
   QueryResponse respond_trace_dump(const QueryRequest& request);
+  /// Counts one response frame in serve_responses_total (the daemon's one
+  /// response ledger) and, for a parsed request, its latency.
   void record_response(const QueryRequest* request, ResponseStatus status,
-                       bool cache_hit, double latency_ms,
-                       std::string_view trace_id = {});
+                       double latency_ms, std::string_view trace_id = {});
+  /// Emits the request's `serve.request` structured log line.
   void audit(const QueryRequest& request, ResponseStatus status,
              bool cache_hit, const std::string& trace_id);
   void set_queue_depth_gauge();
@@ -188,14 +175,6 @@ class Server {
   double ema_queue_wait_ms_ = 0.0;
 
   obs::RequestTraceStore traces_;
-  std::atomic<std::int64_t> responses_ok_{0};
-  std::atomic<std::int64_t> responses_error_{0};
-  std::atomic<std::int64_t> responses_overload_{0};
-  std::atomic<std::int64_t> responses_shutting_down_{0};
-
-  mutable std::mutex audit_mutex_;
-  std::vector<ServeAuditEntry> audit_log_;
-  std::int64_t audit_sequence_ = 0;
 
   std::string final_snapshot_;
 };

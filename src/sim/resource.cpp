@@ -2,24 +2,12 @@
 
 namespace hetsched::sim {
 
-BusySpan Resource::reserve(SimTime now, SimTime duration, std::string label) {
+BusySpan Resource::reserve(SimTime now, SimTime duration) {
   HS_REQUIRE(now >= 0, "reserve at negative time " << now);
   HS_REQUIRE(duration >= 0, "reserve with negative duration " << duration);
   const SimTime start = earliest_start(now);
-  const SimTime end = start + duration;
-  available_at_ = end;
-  busy_time_ += duration;
-  ++requests_;
-  BusySpan span{start, end, std::move(label)};
-  if (record_history_) history_.push_back(span);
-  return span;
-}
-
-void Resource::reset() {
-  available_at_ = 0;
-  busy_time_ = 0;
-  requests_ = 0;
-  history_.clear();
+  available_at_ = start + duration;
+  return BusySpan{start, available_at_};
 }
 
 }  // namespace hetsched::sim

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/time.hpp"
@@ -14,13 +13,15 @@
 /// `now`, when does it start and finish?" and commits the reservation. This
 /// reservation style fits an event-driven runtime: the dispatcher reserves
 /// the device and schedules a completion event at the returned finish time.
+///
+/// The resource is only a reservation clock: it remembers when it is next
+/// free and nothing else. What ran on it, and for how long, is the run's
+/// TraceRecorder's to record (sim::analyze_trace aggregates it).
 namespace hetsched::sim {
 
 struct BusySpan {
   SimTime start = 0;
   SimTime end = 0;
-  /// Free-form label for traces ("k=copy inst=3", "H2D 64MB", ...).
-  std::string label;
 };
 
 class Resource {
@@ -35,39 +36,15 @@ class Resource {
   }
 
   /// Commits a reservation of `duration` arriving at `now`.
-  /// Returns the span actually occupied. `duration` may be zero (the span is
-  /// still recorded if labeled, so traces show zero-cost milestones).
-  BusySpan reserve(SimTime now, SimTime duration, std::string label = {});
+  /// Returns the span actually occupied. `duration` may be zero.
+  BusySpan reserve(SimTime now, SimTime duration);
 
   /// Time this resource becomes free given all committed reservations.
   SimTime available_at() const { return available_at_; }
 
-  /// Total time spent serving requests.
-  SimTime busy_time() const { return busy_time_; }
-
-  /// Utilization over [0, horizon]; 0 if horizon == 0.
-  double utilization(SimTime horizon) const {
-    return horizon <= 0 ? 0.0
-                        : static_cast<double>(busy_time_) /
-                              static_cast<double>(horizon);
-  }
-
-  std::size_t request_count() const { return requests_; }
-  const std::vector<BusySpan>& history() const { return history_; }
-
-  /// Enables/disables per-span history recording (on by default; large
-  /// simulations may turn it off to save memory).
-  void set_record_history(bool record) { record_history_ = record; }
-
-  void reset();
-
  private:
   std::string name_;
   SimTime available_at_ = 0;
-  SimTime busy_time_ = 0;
-  std::size_t requests_ = 0;
-  bool record_history_ = true;
-  std::vector<BusySpan> history_;
 };
 
 }  // namespace hetsched::sim

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/json.hpp"
+
 namespace hetsched::sim {
 
 const char* trace_kind_name(TraceKind kind) {
@@ -24,37 +26,6 @@ SimTime TraceRecorder::makespan() const {
   return latest;
 }
 
-SimTime TraceRecorder::lane_time(const std::string& lane,
-                                 TraceKind kind) const {
-  SimTime total = 0;
-  for (const auto& event : events_)
-    if (event.kind == kind && event.lane == lane) total += event.duration();
-  return total;
-}
-
-SimTime TraceRecorder::total_time(TraceKind kind) const {
-  SimTime total = 0;
-  for (const auto& event : events_)
-    if (event.kind == kind) total += event.duration();
-  return total;
-}
-
-namespace {
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += ch;
-    }
-  }
-  return out;
-}
-}  // namespace
-
 std::string TraceRecorder::to_chrome_json() const {
   return to_chrome_json({});
 }
@@ -68,11 +39,11 @@ std::string TraceRecorder::to_chrome_json(
     if (!first) os << ",";
     first = false;
     // Chrome traces use microseconds; "X" = complete event with duration.
-    os << "{\"name\":\"" << json_escape(event.label) << "\",\"cat\":\""
+    os << "{\"name\":\"" << json::escape(event.label) << "\",\"cat\":\""
        << trace_kind_name(event.kind) << "\",\"ph\":\"X\",\"ts\":"
        << to_micros(event.start) << ",\"dur\":"
        << to_micros(event.end - event.start)
-       << ",\"pid\":1,\"tid\":\"" << json_escape(event.lane) << "\"}";
+       << ",\"pid\":1,\"tid\":\"" << json::escape(event.lane) << "\"}";
   }
   for (const auto& object : extra_event_objects) {
     if (!first) os << ",";

@@ -8,9 +8,10 @@
 /// Execution trace recording and export.
 ///
 /// The runtime records one TraceEvent per task execution, data transfer, and
-/// synchronization. Traces power (a) the per-device busy/utilization numbers
-/// in ExecutionReport and (b) `to_chrome_json`, which emits a file loadable
-/// in chrome://tracing / Perfetto for visual timeline inspection.
+/// synchronization. The recorder only records and exports: `to_chrome_json`
+/// emits a file loadable in chrome://tracing / Perfetto for visual timeline
+/// inspection, and sim::analyze_trace (trace_stats.hpp) is the one place
+/// that aggregates events into per-lane and per-category time.
 namespace hetsched::sim {
 
 enum class TraceKind {
@@ -56,12 +57,6 @@ class TraceRecorder {
 
   /// Latest end time across all events (0 when empty).
   SimTime makespan() const;
-
-  /// Sum of durations of events on `lane` with the given kind.
-  SimTime lane_time(const std::string& lane, TraceKind kind) const;
-
-  /// Sum of durations of all events with the given kind.
-  SimTime total_time(TraceKind kind) const;
 
   /// Chrome trace-event JSON ("traceEvents" array of complete events).
   std::string to_chrome_json() const;

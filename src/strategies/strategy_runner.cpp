@@ -352,7 +352,7 @@ glinda::MultiPartitionDecision StrategyRunner::plan_sp_single() const {
   // the work-balancing solver on two-device platforms; uniform ones get
   // the closed form.
   return glinda::solve_multi_partition(estimate, app_.items(),
-                                       options_.partition,
+                                       glinda::PartitionOptions{},
                                        app_.prefix_weight());
 }
 
@@ -365,8 +365,7 @@ glinda::MultiPartitionDecision StrategyRunner::plan_sp_unified() const {
       !(app_.iterations() > 1 && !app_.sync_each_iteration());
   const glinda::MultiDeviceEstimate estimate =
       estimate_for(app_.fused_factory(), transfers_on_path, app_.items());
-  return glinda::solve_multi_partition(estimate, app_.items(),
-                                       options_.partition);
+  return glinda::solve_multi_partition(estimate, app_.items());
 }
 
 std::vector<glinda::MultiPartitionDecision> StrategyRunner::plan_sp_varied()
@@ -391,8 +390,7 @@ std::vector<glinda::MultiPartitionDecision> StrategyRunner::plan_sp_varied()
     const glinda::MultiDeviceEstimate estimate =
         estimate_for(app_.single_kernel_factory(k),
                      /*transfer_on_critical_path=*/true, nk);
-    decisions.push_back(
-        glinda::solve_multi_partition(estimate, nk, options_.partition));
+    decisions.push_back(glinda::solve_multi_partition(estimate, nk));
   }
   return decisions;
 }

@@ -55,7 +55,6 @@ struct StrategyOptions {
   /// (SP-Varied always synchronizes, regardless of this flag.)
   bool sync_between_kernels = false;
   glinda::ProfileOptions profile;
-  glinda::PartitionOptions partition;
   /// Fault plan armed around the MEASURED execution only. Profiling runs
   /// (Glinda sampling, DP-Perf seeding probes) observe the healthy
   /// platform — the paper profiles before the perturbation happens — so

@@ -12,7 +12,6 @@
 #include "common/single_flight.hpp"
 #include "faults/fault_plan.hpp"
 #include "hw/platform.hpp"
-#include "obs/metrics.hpp"
 #include "obs/phase_profiler.hpp"
 #include "obs/validate.hpp"
 #include "runtime/thread_pool.hpp"
@@ -123,17 +122,6 @@ std::string ScenarioOutcome::to_payload() const {
   // json::format_double, so re-dumping the parsed object reproduces the
   // exact original bytes.
   value.set("report", json::Value::parse(report_json));
-  if (!trace_json.empty()) {
-    // Traced outcomes persist trace + validator findings so a --trace run
-    // that hits the cache still returns them (stored as an opaque string:
-    // the trace is already serialized chrome JSON and must round-trip
-    // byte-exactly).
-    value.set("trace", json::Value(trace_json));
-    json::Value violations{json::Value::Array{}};
-    for (const std::string& violation : trace_violations)
-      violations.push_back(json::Value(violation));
-    value.set("trace_violations", std::move(violations));
-  }
   return value.dump();
 }
 
@@ -148,13 +136,6 @@ ScenarioOutcome ScenarioOutcome::from_payload(const std::string& payload) {
   }
   outcome.metrics = metrics_from_json(value.at("metrics"));
   outcome.report_json = value.at("report").dump();
-  // Lenient: entries cached by an untraced run have no trace members.
-  if (const json::Value* trace = value.find("trace")) {
-    outcome.trace_json = trace->as_string();
-    for (const json::Value& violation :
-         value.at("trace_violations").as_array())
-      outcome.trace_violations.push_back(violation.as_string());
-  }
   return outcome;
 }
 
@@ -182,6 +163,9 @@ SweepEngine::SweepEngine(SweepOptions options)
   // cached canonical result would shadow an explored one (and vice versa).
   HS_REQUIRE(!(options_.use_cache && options_.explore.active()),
              "schedule exploration is incompatible with the result cache");
+  // Cache payloads carry no trace, so a hit could not return one.
+  HS_REQUIRE(!(options_.use_cache && options_.record_trace),
+             "trace recording is incompatible with the result cache");
 }
 
 ScenarioOutcome SweepEngine::compute(const Scenario& scenario) const {
@@ -360,18 +344,7 @@ SweepRun SweepEngine::run(const std::vector<Scenario>& scenarios) const {
             // replay as permanent hits); an entry like this predates that
             // rule, so drop it and recompute.
             cache->evict(keys[i]);
-          } else if (options_.record_trace && outcome.ok() &&
-                     outcome.trace_json.empty()) {
-            // The entry predates trace persistence (or was written by an
-            // untraced run). It is still valid for untraced consumers, so
-            // leave it in place, but this traced run must recompute — the
-            // fresh store below upgrades the entry with its trace.
           } else {
-            if (!options_.record_trace) {
-              // Untraced runs return exactly what a fresh compute would.
-              outcome.trace_json.clear();
-              outcome.trace_violations.clear();
-            }
             run.outcomes[i] = std::move(outcome);
             run.outcomes[i].cache_hit = true;
             run.outcomes[i].wall_ms = elapsed_ms(lookup);
@@ -461,24 +434,6 @@ SweepRun SweepEngine::run(const std::vector<Scenario>& scenarios) const {
     }
   }
   run.summary.wall_ms = elapsed_ms(start);
-
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& registry = *options_.metrics;
-    registry.counter_add(obs::kSweepTwinMemoHits,
-                         static_cast<std::int64_t>(run.summary.twin_memo_hits));
-    registry.counter_add(obs::kSweepTwinComputes,
-                         static_cast<std::int64_t>(run.summary.twin_computes));
-    registry.counter_add(
-        obs::kSweepScenarioDedupHits,
-        static_cast<std::int64_t>(run.summary.scenario_dedup_hits));
-    registry.counter_add(obs::kSweepCacheHits,
-                         static_cast<std::int64_t>(run.summary.cache_hits));
-    registry.counter_add(obs::kSweepCacheMisses,
-                         static_cast<std::int64_t>(run.summary.cache_misses));
-    registry.counter_add(
-        obs::kSweepCacheDroppedStores,
-        static_cast<std::int64_t>(run.summary.cache_dropped_stores));
-  }
   return run;
 }
 

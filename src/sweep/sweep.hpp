@@ -8,10 +8,6 @@
 #include "sweep/cache.hpp"
 #include "sweep/scenario.hpp"
 
-namespace hetsched::obs {
-class MetricsRegistry;
-}  // namespace hetsched::obs
-
 /// Batch scenario-sweep engine.
 ///
 /// Takes a list of Scenarios (typically an app x strategy x platform
@@ -79,16 +75,13 @@ struct ScenarioOutcome {
   /// Full rt::report_to_json serialization of the ExecutionReport (empty
   /// when status != kOk). Byte-identical whether computed or cache-loaded.
   std::string report_json;
-  /// Chrome-trace timeline (only when SweepOptions::record_trace). Part of
-  /// the canonical payload when present, so a traced run that hits the
-  /// cache still returns its trace.
-  std::string trace_json;
-  /// obs::validate_trace findings for the recorded timeline (only when
-  /// SweepOptions::record_trace; empty = clean). Persisted alongside
-  /// trace_json.
-  std::vector<std::string> trace_violations;
 
   /// Run metadata — not part of the canonical payload.
+  /// Chrome-trace timeline (only when SweepOptions::record_trace).
+  std::string trace_json;
+  /// obs::validate_trace findings for the recorded timeline (only when
+  /// SweepOptions::record_trace; empty = clean).
+  std::vector<std::string> trace_violations;
   bool cache_hit = false;
   /// Result was copied from an identical scenario computed earlier in the
   /// same run (in-process dedup, no simulation and no disk involved).
@@ -106,7 +99,7 @@ struct ScenarioOutcome {
 
   /// Canonical serialization: scenario + status + metrics + report. This is
   /// the cache payload and the determinism-comparison string; run metadata
-  /// (cache_hit, wall_ms, trace) is excluded.
+  /// (trace, cache_hit, wall_ms) is excluded.
   std::string to_payload() const;
   static ScenarioOutcome from_payload(const std::string& payload);
 };
@@ -120,14 +113,10 @@ struct SweepOptions {
   /// Reuse / populate the on-disk result cache.
   bool use_cache = false;
   std::string cache_dir = ".hs-sweep-cache";
-  /// Record a chrome trace per scenario. Traced outcomes persist their
-  /// trace in the cache; a traced run that hits an entry cached without a
-  /// trace recomputes the scenario instead of silently dropping it.
+  /// Record a chrome trace per scenario. Incompatible with use_cache: the
+  /// trace is run metadata the cache payload does not carry, so the engine
+  /// rejects the combination up front.
   bool record_trace = false;
-  /// When set, run() mirrors its summary counters (twin_memo_hits,
-  /// scenario_dedup_hits, cache hit/miss/dropped-store totals) into this
-  /// registry under the obs::kSweep* names. Not owned; must outlive run().
-  obs::MetricsRegistry* metrics = nullptr;
   /// Schedule-exploration spec threaded into every scenario's measured
   /// execution (see runtime/explore.hpp). Incompatible with use_cache: the
   /// scenario cache key does not close over the spec, so mixing them would

@@ -7,6 +7,7 @@
 
 #include "hw/platform.hpp"
 #include "runtime/schedulers/breadth_first.hpp"
+#include "sim/trace_stats.hpp"
 #include "tests/runtime/test_kernels.hpp"
 
 namespace hetsched::rt {
@@ -251,9 +252,10 @@ TEST_F(ExecutorTest, TraceRecordsComputeAndTransfers) {
   program.submit(0, 0, 100, kGpu);
   program.taskwait();
   const ExecutionReport report = exec.execute_pinned(program);
-  EXPECT_GT(report.trace.total_time(sim::TraceKind::kCompute), 0);
-  EXPECT_GT(report.trace.total_time(sim::TraceKind::kTransferH2D), 0);
-  EXPECT_GT(report.trace.total_time(sim::TraceKind::kTransferD2H), 0);
+  const sim::TraceStats stats = sim::analyze_trace(report.trace);
+  EXPECT_GT(stats.total_compute, 0);
+  EXPECT_GT(stats.total_h2d, 0);
+  EXPECT_GT(stats.total_d2h, 0);
   EXPECT_LE(report.trace.makespan(), report.makespan);
 }
 

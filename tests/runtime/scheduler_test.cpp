@@ -125,7 +125,7 @@ TEST_F(PerfAwareTest, OccupancyVersusComputeOnlyEstimates) {
   sched_.on_complete(make_task(0, 1000), kGpu, kSecond, 2 * kSecond, 0);
   EXPECT_NEAR(sched_.estimated_rate(0, kGpu), 500.0, 1e-6);
 
-  PerfAwareScheduler compute_only(5 * kMicrosecond, 0.5, true);
+  PerfAwareScheduler compute_only(/*compute_only_estimates=*/true);
   compute_only.begin_run(platform_, {});
   compute_only.on_complete(make_task(0, 1000), kGpu, kSecond, 2 * kSecond, 0);
   // Transfers invisible: the GPU looks twice as fast.

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
@@ -109,13 +110,12 @@ TEST(ServeLoopbackTest, ConcurrentClientsGetOfflineBytesAndMetricsAgree) {
   EXPECT_DOUBLE_EQ(
       metric_sum(scrape.body, "hs_serve_request_latency_ms_count"),
       static_cast<double>(tally));
+  EXPECT_DOUBLE_EQ(
+      metric_sum(scrape.body, "hs_serve_responses_total{status=\"ok\"}"),
+      static_cast<double>(tally));
 
   // Unknown paths 404 without disturbing the daemon.
   EXPECT_EQ(http_get("127.0.0.1", server.port(), "/nope").status_code, 404);
-
-  EXPECT_EQ(server.responses_sent(ResponseStatus::kOk), tally);
-  EXPECT_EQ(static_cast<int>(server.audit_log().size()), tally)
-      << "one audit entry per served decision";
 
   server.request_shutdown();
   server.wait();
@@ -163,13 +163,31 @@ TEST(ServeLoopbackTest, UnknownAppAnswersErrorAndKeepsServing) {
     EXPECT_EQ(response.status, ResponseStatus::kError);
     EXPECT_NE(response.error.find("unknown app"), std::string::npos);
   }
+  {
+    // A frame that is not JSON gets an error frame, then the disconnect.
+    QueryClient client("127.0.0.1", server.port());
+    const std::string garbage = "{not json\n";
+    ASSERT_EQ(::write(client.fd(), garbage.data(), garbage.size()),
+              static_cast<ssize_t>(garbage.size()));
+    FrameReader reader(client.fd());
+    std::string frame;
+    ASSERT_EQ(reader.read(frame), FrameReader::Result::kFrame);
+    EXPECT_EQ(QueryResponse::from_json(json::Value::parse(frame)).status,
+              ResponseStatus::kError);
+    EXPECT_EQ(reader.read(frame), FrameReader::Result::kClosed);
+  }
   // The daemon survives a refused query; the next client is served.
   QueryRequest good;
   good.app = "matrixmul";
   good.small = true;
   EXPECT_EQ(query_once("127.0.0.1", server.port(), good).status,
             ResponseStatus::kOk);
-  EXPECT_EQ(server.responses_sent(ResponseStatus::kError), 1);
+  // Both error frames count as responses; only the garbage is a bad frame.
+  const std::string exposition = server.metrics_prometheus();
+  EXPECT_DOUBLE_EQ(
+      metric_sum(exposition, "hs_serve_responses_total{status=\"error\"}"),
+      2.0);
+  EXPECT_DOUBLE_EQ(metric_sum(exposition, "hs_serve_bad_frames_total"), 1.0);
 
   server.request_shutdown();
   server.wait();
@@ -222,7 +240,10 @@ TEST(ServeLoopbackTest, OverloadAnswersAreWellFormedAndBounded) {
 
   EXPECT_GE(server.queue().rejected(), kRejected);
   EXPECT_LE(server.queue().max_depth_seen(), server.queue().capacity());
-  EXPECT_EQ(server.responses_sent(ResponseStatus::kOverload), kRejected);
+  // The wedged worker would never answer an HTTP scrape; read the registry.
+  EXPECT_DOUBLE_EQ(metric_sum(server.metrics_prometheus(),
+                              "hs_serve_responses_total{status=\"overload\"}"),
+                   static_cast<double>(kRejected));
 
   // Shutdown drains: the wedged worker gives up at the next idle timeout
   // and wait() returns even though two connections never spoke.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
+#include "sim/trace_stats.hpp"
+
 namespace hetsched::sim {
 namespace {
 
@@ -18,23 +21,30 @@ TEST(TraceRecorder, MakespanIsLatestEnd) {
   EXPECT_EQ(trace.makespan(), 100);
 }
 
+// The recorder only records; per-lane and per-kind sums come from
+// analyze_trace.
 TEST(TraceRecorder, LaneTimeFiltersByLaneAndKind) {
   TraceRecorder trace;
   trace.record("gpu0", "k", TraceKind::kCompute, 0, 10);
   trace.record("gpu0", "t", TraceKind::kTransferH2D, 10, 30);
   trace.record("cpu.t0", "k", TraceKind::kCompute, 0, 5);
-  EXPECT_EQ(trace.lane_time("gpu0", TraceKind::kCompute), 10);
-  EXPECT_EQ(trace.lane_time("gpu0", TraceKind::kTransferH2D), 20);
-  EXPECT_EQ(trace.lane_time("cpu.t0", TraceKind::kCompute), 5);
-  EXPECT_EQ(trace.lane_time("cpu.t1", TraceKind::kCompute), 0);
+  const TraceStats stats = analyze_trace(trace);
+  ASSERT_EQ(stats.lanes.size(), 2u);  // sorted by name; no cpu.t1 lane
+  EXPECT_EQ(stats.lanes[0].lane, "cpu.t0");
+  EXPECT_EQ(stats.lanes[0].compute, 5);
+  EXPECT_EQ(stats.lanes[0].transfer, 0);
+  EXPECT_EQ(stats.lanes[1].lane, "gpu0");
+  EXPECT_EQ(stats.lanes[1].compute, 10);
+  EXPECT_EQ(stats.lanes[1].transfer, 20);
 }
 
 TEST(TraceRecorder, TotalTimeSumsAcrossLanes) {
   TraceRecorder trace;
   trace.record("a", "x", TraceKind::kCompute, 0, 10);
   trace.record("b", "y", TraceKind::kCompute, 0, 15);
-  EXPECT_EQ(trace.total_time(TraceKind::kCompute), 25);
-  EXPECT_EQ(trace.total_time(TraceKind::kSync), 0);
+  const TraceStats stats = analyze_trace(trace);
+  EXPECT_EQ(stats.total_compute, 25);
+  EXPECT_EQ(stats.total_sync, 0);
 }
 
 TEST(TraceRecorder, ChromeJsonShape) {
@@ -46,6 +56,14 @@ TEST(TraceRecorder, ChromeJsonShape) {
   EXPECT_NE(json.find("\\\"x\\\""), std::string::npos);  // escaped quote
   EXPECT_NE(json.find("\"dur\":2"), std::string::npos);  // microseconds
   EXPECT_NE(json.find("\"tid\":\"gpu0\""), std::string::npos);
+
+  // Control characters in a label or lane name still export valid JSON.
+  const std::string label = "a\tb\x01";
+  trace.record("lane\n1", label, TraceKind::kCompute, 0, kMicrosecond);
+  const json::Value parsed = json::Value::parse(trace.to_chrome_json());
+  const json::Value& event = parsed.at("traceEvents").as_array().at(1);
+  EXPECT_EQ(event.at("name").as_string(), label);
+  EXPECT_EQ(event.at("tid").as_string(), "lane\n1");
 }
 
 TEST(TraceRecorder, KindNames) {

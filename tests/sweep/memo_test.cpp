@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/phase_profiler.hpp"
 #include "sweep/sweep.hpp"
 
@@ -51,6 +50,10 @@ TEST(SweepMemo, FaultSeedsShareOneBaselineTwin) {
   EXPECT_EQ(run.summary.twin_computes, 1u);
   EXPECT_EQ(run.summary.twin_memo_hits,
             static_cast<std::size_t>(kSeeds - 1));
+  EXPECT_EQ(run.summary.scenario_dedup_hits, 0u);
+  // With the cache off there is no cache traffic to count.
+  EXPECT_EQ(run.summary.cache_hits, 0u);
+  EXPECT_EQ(run.summary.cache_misses, 0u);
   // Every faulted outcome was measured against the same baseline.
   for (const ScenarioOutcome& outcome : run.outcomes) {
     ASSERT_TRUE(outcome.ok()) << outcome.error;
@@ -205,22 +208,6 @@ TEST(SweepMemo, TopLevelScenarioSharesWithItsTwin) {
         SweepEngine(serial_options()).compute(healthy);
     EXPECT_EQ(run.outcomes[1].to_payload(), reference.to_payload());
   }
-}
-
-TEST(SweepMemo, SummaryCountersMirrorIntoMetricsRegistry) {
-  obs::MetricsRegistry registry;
-  registry.enable();
-  SweepOptions options = serial_options();
-  options.metrics = &registry;
-  const SweepRun run = SweepEngine(options).run(
-      {storm_scenario(1), storm_scenario(2), storm_scenario(2)});
-  EXPECT_EQ(registry.counter(obs::kSweepTwinMemoHits),
-            static_cast<std::int64_t>(run.summary.twin_memo_hits));
-  EXPECT_EQ(registry.counter(obs::kSweepTwinComputes), 1);
-  EXPECT_EQ(registry.counter(obs::kSweepScenarioDedupHits),
-            static_cast<std::int64_t>(run.summary.scenario_dedup_hits));
-  EXPECT_EQ(registry.counter(obs::kSweepCacheHits), 0);
-  EXPECT_EQ(registry.counter(obs::kSweepCacheMisses), 0);
 }
 
 }  // namespace

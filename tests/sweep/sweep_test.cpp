@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
 
 namespace hetsched::sweep {
@@ -198,72 +199,29 @@ TEST(SweepEngine, OkAndInapplicableOutcomesAreStored) {
   fs::remove_all(dir);
 }
 
-TEST(SweepEngine, TracedRunKeepsItsTraceThroughTheCache) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "hs_sweep_cache_trace";
-  fs::remove_all(dir);
-  SweepOptions options = serial_options();
-  options.use_cache = true;
-  options.cache_dir = dir.string();
-  options.record_trace = true;
-  const SweepEngine engine(options);
-  const std::vector<Scenario> scenarios = {
-      small_scenario(apps::PaperApp::kNbody,
-                     analyzer::StrategyKind::kDPPerf),
-  };
-  const SweepRun cold = engine.run(scenarios);
-  ASSERT_TRUE(cold.outcomes[0].ok()) << cold.outcomes[0].error;
-  ASSERT_FALSE(cold.outcomes[0].trace_json.empty());
+TEST(SweepEngine, CacheRejectsExploredAndTracedRuns) {
+  // The cache key closes over neither the explore spec nor tracing, and a
+  // payload carries no trace, so neither combination may use the cache.
+  SweepOptions explored = serial_options();
+  explored.use_cache = true;
+  explored.explore.mode = rt::ExploreMode::kRandom;
+  EXPECT_THROW(SweepEngine{explored}, InvalidArgument);
 
-  // The bug this pins: a traced run that hits the cache used to lose its
-  // trace because the payload never carried it.
-  const SweepRun warm = engine.run(scenarios);
-  EXPECT_TRUE(warm.outcomes[0].cache_hit);
-  EXPECT_EQ(warm.outcomes[0].trace_json, cold.outcomes[0].trace_json);
-  EXPECT_EQ(warm.outcomes[0].trace_violations,
-            cold.outcomes[0].trace_violations);
-  EXPECT_EQ(warm.outcomes[0].to_payload(), cold.outcomes[0].to_payload());
-  fs::remove_all(dir);
-}
-
-TEST(SweepEngine, TracedRunRecomputesOverUntracedEntry) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "hs_sweep_cache_trace_upgrade";
-  fs::remove_all(dir);
-  SweepOptions untraced = serial_options();
-  untraced.use_cache = true;
-  untraced.cache_dir = dir.string();
-  const std::vector<Scenario> scenarios = {
-      small_scenario(apps::PaperApp::kHotSpot,
-                     analyzer::StrategyKind::kDPDep),
-  };
-  // Seed the cache from an untraced run.
-  const SweepRun untraced_cold = SweepEngine(untraced).run(scenarios);
-  ASSERT_TRUE(untraced_cold.outcomes[0].ok());
-
-  // A traced run finds the entry but it carries no trace: recompute (and
-  // upgrade the entry) instead of silently returning a traceless outcome.
-  SweepOptions traced = untraced;
+  SweepOptions traced = serial_options();
+  traced.use_cache = true;
   traced.record_trace = true;
-  const SweepRun traced_run = SweepEngine(traced).run(scenarios);
-  EXPECT_EQ(traced_run.summary.cache_hits, 0u);
-  EXPECT_EQ(traced_run.summary.computed, 1u);
-  EXPECT_FALSE(traced_run.outcomes[0].trace_json.empty());
+  EXPECT_THROW(SweepEngine{traced}, InvalidArgument);
 
-  // The upgraded entry now serves traced runs from the cache...
-  const SweepRun traced_warm = SweepEngine(traced).run(scenarios);
-  EXPECT_EQ(traced_warm.summary.cache_hits, 1u);
-  EXPECT_EQ(traced_warm.outcomes[0].trace_json,
-            traced_run.outcomes[0].trace_json);
-
-  // ...and untraced runs still get exactly what a fresh untraced compute
-  // would produce (no trace members in the outcome).
-  const SweepRun untraced_warm = SweepEngine(untraced).run(scenarios);
-  EXPECT_EQ(untraced_warm.summary.cache_hits, 1u);
-  EXPECT_TRUE(untraced_warm.outcomes[0].trace_json.empty());
-  EXPECT_EQ(untraced_warm.outcomes[0].to_payload(),
-            untraced_cold.outcomes[0].to_payload());
-  fs::remove_all(dir);
+  // Without the cache a traced run keeps its trace as run metadata only.
+  traced.use_cache = false;
+  const Scenario scenario = small_scenario(apps::PaperApp::kNbody,
+                                           analyzer::StrategyKind::kDPPerf);
+  const ScenarioOutcome outcome = SweepEngine(traced).compute(scenario);
+  ASSERT_TRUE(outcome.ok()) << outcome.error;
+  EXPECT_FALSE(outcome.trace_json.empty());
+  EXPECT_EQ(json::Value::parse(outcome.to_payload()).find("trace"), nullptr);
+  EXPECT_EQ(outcome.to_payload(),
+            SweepEngine(serial_options()).compute(scenario).to_payload());
 }
 
 TEST(ComputeRankings, OrdersWithinGroupAndPicksWinner) {

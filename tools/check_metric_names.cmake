@@ -1,16 +1,13 @@
 # Metric-name lint, runnable under ctest (lint.metric_names):
 #
 #   cmake -DNAMES_HEADER=<src/obs/metric_names.hpp> \
-#         [-DEXTRA_HEADER=<src/obs/metrics.hpp>] \
 #         -DDOC=<docs/observability.md> -P check_metric_names.cmake
 #
 # The daemon's metric names live as constants in obs/metric_names.hpp so
-# exposition, tests, and docs share one spelling (the sweep layer's older
-# kSweep* constants in obs/metrics.hpp ride along via EXTRA_HEADER). This
-# script keeps that contract honest: every constant must be snake_case
-# (Prometheus-safe before the hs_ prefix), unique, and documented in
-# docs/observability.md — a metric nobody documented is a metric nobody
-# can alert on.
+# exposition, tests, and docs share one spelling. This script keeps that
+# contract honest: every constant must be snake_case (Prometheus-safe
+# before the hs_ prefix), unique, and documented in docs/observability.md
+# — a metric nobody documented is a metric nobody can alert on.
 
 cmake_policy(SET CMP0057 NEW)  # IN_LIST in script (-P) mode
 
@@ -22,15 +19,11 @@ if(NOT DOC)
 endif()
 
 file(READ ${NAMES_HEADER} header)
-if(EXTRA_HEADER)
-  file(READ ${EXTRA_HEADER} extra)
-  string(APPEND header "\n${extra}")
-endif()
 file(READ ${DOC} doc)
 
-# Every `kMetric… = "name";` / `kSweep… = "name";` constant.
+# Every `kMetric… = "name";` constant.
 string(REGEX MATCHALL
-       "k(Metric|Sweep)[A-Za-z0-9]+[ \t\n]*=[ \t\n]*\"[^\"]+\""
+       "kMetric[A-Za-z0-9]+[ \t\n]*=[ \t\n]*\"[^\"]+\""
        declarations "${header}")
 if(declarations STREQUAL "")
   message(FATAL_ERROR "no kMetric… constants found in ${NAMES_HEADER}")
