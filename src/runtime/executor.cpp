@@ -120,7 +120,7 @@ class Run {
       report_.schedule.recorded = true;
       report_.schedule.tasks = graph_.size();
       for (TaskId id = 0; id < graph_.size(); ++id)
-        for (TaskId succ : graph_.node(id).successors)
+        for (TaskId succ : graph_.successors(id))
           report_.schedule.edges.emplace_back(id, succ);
     }
 
@@ -320,7 +320,7 @@ class Run {
                      << " without an implementation");
       HS_REQUIRE(!failed_[*chosen],
                  "scheduler placed work on failed device " << *chosen);
-      ready_[d_checked(*chosen)].push_back(id);
+      ready_[*chosen].push_back(id);
       if (obs_) {
         obs_span(id, obs::SpanPhase::kSchedule, now, now,
                  devices_[*chosen].name);
@@ -350,8 +350,6 @@ class Run {
                            "abandon task " + std::to_string(id) + ": " + why,
                            sim::TraceKind::kRecovery, now, now);
   }
-
-  hw::DeviceId d_checked(hw::DeviceId d) const { return d; }
 
   /// Hands work to every idle lane that can get some. Accelerators are
   /// served before the CPU: with a breadth-first scheduler and a fresh pool
@@ -642,7 +640,7 @@ class Run {
       const TaskNode& node = graph_.node(id);
       sim::Resource& lane = lanes_[lane_begin_[d]];
       for (std::size_t a = 0; a < node.accesses.size(); ++a) {
-        if (!node.writeback_eligible[a]) continue;
+        if (!graph_.writeback_eligible(id, a)) continue;
         coherence_.plan_acquire(node.accesses[a].region, mem::kHostSpace,
                                 acquire_scratch_);
         for (const mem::TransferOp& op : acquire_scratch_) {
@@ -976,7 +974,7 @@ class Run {
     if (!graph_.node(id).is_barrier && !graph_.node(id).is_host_op)
       ++report_.tasks_executed;
 
-    for (TaskId succ : graph_.node(id).successors) {
+    for (TaskId succ : graph_.successors(id)) {
       // Dependency-chain affinity: a consumer inherits its producer's device
       // as a locality hint (barriers break chains — data is flushed home).
       if (device && !graph_.node(succ).is_barrier) affinity_[succ] = *device;

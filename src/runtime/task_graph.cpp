@@ -1,6 +1,7 @@
 #include "runtime/task_graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/error.hpp"
@@ -26,6 +27,9 @@ struct BufferTracker {
 TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
                      const Program& program) {
   nodes_.reserve(program.ops().size());
+  // Out-degree per task until the sweep ends; see the counting sort below.
+  successor_offsets_.assign(program.ops().size() + 1, 0);
+  std::vector<std::pair<TaskId, TaskId>> edges;
   // Indexed by BufferId; `touched` lists the buffers with state since the
   // last barrier, so a barrier clears those alone and keeps every
   // tracker's storage for the next phase.
@@ -60,8 +64,8 @@ TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
       // The barrier waits for everything since the previous barrier (earlier
       // work is covered transitively through that barrier). These ids are
       // all distinct.
-      if (last_barrier) add_edge(*last_barrier, id);
-      for (TaskId dep : since_barrier) add_edge(dep, id);
+      if (last_barrier) add_edge(*last_barrier, id, edges);
+      for (TaskId dep : since_barrier) add_edge(dep, id, edges);
       last_barrier = id;
       since_barrier.clear();
       // A barrier flushes all device copies; subsequent tasks re-source data
@@ -151,56 +155,48 @@ TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
 
     std::sort(deps.begin(), deps.end());
     deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-    for (TaskId dep : deps) add_edge(dep, id);
+    for (TaskId dep : deps) add_edge(dep, id, edges);
     since_barrier.push_back(id);
   }
 
-  analyze_writeback();
+  // Counting sort of the edges by source. Prefix sums turn each task's
+  // out-degree into the end of its list; placing the edges backward then
+  // walks every cursor down to its list's start. Edges were added in
+  // non-decreasing target order, so each list comes out ascending.
+  std::partial_sum(successor_offsets_.begin(), successor_offsets_.end(),
+                   successor_offsets_.begin());
+  successor_ids_.resize(edges.size());
+  for (auto edge = edges.rbegin(); edge != edges.rend(); ++edge)
+    successor_ids_[--successor_offsets_[edge->first]] = edge->second;
   check_acyclic();
 }
 
-void TaskGraph::analyze_writeback() {
-  for (TaskNode& node : nodes_) {
-    if (node.is_barrier) continue;
-    node.writeback_eligible.assign(node.accesses.size(), false);
-    for (std::size_t a = 0; a < node.accesses.size(); ++a) {
-      const mem::RegionAccess& access = node.accesses[a];
-      if (!access.writes() || access.region.empty()) continue;
-
-      // Find the first later kernel/host op touching an overlapping range.
-      //  - host op next (or nothing at all): eager write-back; the copy
-      //    overlaps the other devices' remaining compute.
-      //  - kernel next: the data stays resident for its consumer; if a
-      //    taskwait intervenes, the *barrier* flushes it synchronously
-      //    (the OmpSs taskwait semantics that make per-kernel
-      //    synchronization expensive).
-      bool host_side_next = true;  // nothing later: program-tail output
-      for (TaskId later = node.id + 1; later < nodes_.size(); ++later) {
-        const TaskNode& other = nodes_[later];
-        if (other.is_barrier) continue;
-        bool overlaps = false;
-        for (const mem::RegionAccess& theirs : other.accesses) {
-          if (theirs.region.buffer == access.region.buffer &&
-              theirs.region.range.overlaps(access.region.range)) {
-            overlaps = true;
-            break;
-          }
-        }
-        if (overlaps) {
-          host_side_next = other.is_host_op;
-          break;
-        }
-      }
-      node.writeback_eligible[a] = host_side_next;
-    }
+bool TaskGraph::writeback_eligible(TaskId id, std::size_t access) const {
+  const mem::RegionAccess& mine = nodes_[id].accesses[access];
+  if (!mine.writes() || mine.region.empty()) return false;
+  // The first later kernel or host op touching an overlapping range
+  // decides; barriers are skipped. A kernel next keeps the data resident
+  // for its consumer (if a taskwait intervenes, the barrier flushes it
+  // synchronously: the OmpSs taskwait semantics that make per-kernel
+  // synchronization expensive).
+  for (TaskId later = id + 1; later < nodes_.size(); ++later) {
+    const TaskNode& other = nodes_[later];
+    if (other.is_barrier) continue;
+    for (const mem::RegionAccess& theirs : other.accesses)
+      if (theirs.region.buffer == mine.region.buffer &&
+          theirs.region.range.overlaps(mine.region.range))
+        return other.is_host_op;
   }
+  return true;  // nothing later: program-tail output
 }
 
-void TaskGraph::add_edge(TaskId from, TaskId to) {
+void TaskGraph::add_edge(TaskId from, TaskId to,
+                         std::vector<std::pair<TaskId, TaskId>>& edges) {
   HS_ASSERT_MSG(from < to, "dependency edge " << from << " -> " << to
                                               << " not forward in submission "
                                                  "order");
-  nodes_[from].successors.push_back(to);
+  edges.emplace_back(from, to);
+  ++successor_offsets_[from];
   ++nodes_[to].predecessor_count;
   ++edge_count_;
 }
@@ -214,7 +210,7 @@ std::vector<TaskId> TaskGraph::initial_ready() const {
 
 void TaskGraph::check_acyclic() const {
   for (const TaskNode& node : nodes_)
-    for (TaskId succ : node.successors)
+    for (TaskId succ : successors(node.id))
       HS_ASSERT_MSG(succ > node.id, "backward edge " << node.id << " -> "
                                                      << succ);
 }

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "mem/region.hpp"
@@ -36,17 +38,7 @@ struct TaskNode {
   std::optional<hw::DeviceId> pinned_device;
   std::vector<mem::RegionAccess> accesses;
 
-  std::vector<TaskId> successors;
   std::size_t predecessor_count = 0;
-
-  /// Parallel to `accesses`: true for a write access whose *next* conflicting
-  /// use in program order is host-side (a host op or a barrier) rather than
-  /// another kernel task. Such regions are final outputs as far as the
-  /// devices are concerned; the executor writes them back to the host as
-  /// soon as the task completes, overlapping the copy with remaining
-  /// compute (the asynchronous write-back of OmpSs-era runtimes). Regions
-  /// that a later kernel will read or rewrite stay resident instead.
-  std::vector<bool> writeback_eligible;
 
   std::int64_t items() const { return end - begin; }
 };
@@ -61,8 +53,25 @@ class TaskGraph {
   const TaskNode& node(TaskId id) const { return nodes_[id]; }
   std::size_t size() const { return nodes_.size(); }
 
+  /// The tasks that depend on `id`, ascending, each named once.
+  std::span<const TaskId> successors(TaskId id) const {
+    return {successor_ids_.data() + successor_offsets_[id],
+            successor_ids_.data() + successor_offsets_[id + 1]};
+  }
+
   /// Tasks with no predecessors, in submission order.
   std::vector<TaskId> initial_ready() const;
+
+  /// True when access `access` of task `id` writes a non-empty region whose
+  /// next conflicting non-barrier use in program order is host-side: a host
+  /// op, or nothing at all. Such a region is a final output as far as the
+  /// devices are concerned; the executor writes it back to the host as soon
+  /// as an accelerator completes the task, overlapping the copy with the
+  /// remaining compute (the asynchronous write-back of OmpSs-era runtimes).
+  /// A region that a later kernel reads or rewrites stays resident, even
+  /// across a taskwait, which then flushes it synchronously. Reads and
+  /// empty regions are never eligible. Each call scans forward from `id`.
+  bool writeback_eligible(TaskId id, std::size_t access) const;
 
   std::size_t edge_count() const { return edge_count_; }
 
@@ -71,11 +80,16 @@ class TaskGraph {
   void check_acyclic() const;
 
  private:
-  void add_edge(TaskId from, TaskId to);
-  void analyze_writeback();
+  /// Appends (from, to) to `edges`, the edge list in the order added.
+  void add_edge(TaskId from, TaskId to,
+                std::vector<std::pair<TaskId, TaskId>>& edges);
 
   std::vector<TaskNode> nodes_;
   std::size_t edge_count_ = 0;
+  /// Successor lists in one array (CSR): task id's successors are
+  /// successor_ids_[successor_offsets_[id], successor_offsets_[id + 1]).
+  std::vector<std::size_t> successor_offsets_;
+  std::vector<TaskId> successor_ids_;
 };
 
 }  // namespace hetsched::rt

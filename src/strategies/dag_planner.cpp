@@ -55,9 +55,8 @@ DagPlan DagPlanner::plan(const std::vector<rt::KernelDef>& kernels,
   // submission order (every edge points forward).
   std::vector<double> rank(count, 0.0);
   for (std::size_t i = count; i-- > 0;) {
-    const rt::TaskNode& node = graph.node(i);
     double best_successor = 0.0;
-    for (rt::TaskId succ : node.successors)
+    for (rt::TaskId succ : graph.successors(i))
       best_successor = std::max(best_successor, rank[succ]);
     rank[i] = mean_cost[i] + best_successor;
   }
@@ -80,9 +79,9 @@ DagPlan DagPlanner::plan(const std::vector<rt::KernelDef>& kernels,
   std::vector<double> finish(count, 0.0);
   std::vector<hw::DeviceId> device_of(count, hw::kCpuDevice);
   std::vector<std::vector<rt::TaskId>> predecessors(count);
-  for (const rt::TaskNode& node : graph.nodes())
-    for (rt::TaskId succ : node.successors)
-      predecessors[succ].push_back(node.id);
+  for (rt::TaskId id = 0; id < count; ++id)
+    for (rt::TaskId succ : graph.successors(id))
+      predecessors[succ].push_back(id);
 
   DagPlan result;
   result.tasks_per_device.assign(devices, 0);

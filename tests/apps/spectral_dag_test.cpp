@@ -46,7 +46,7 @@ TEST(SpectralDag, DiamondDependenciesAllowRowColOverlap) {
   program.submit(kernels[3], 0, 2048);  // combine
   rt::TaskGraph graph(app.executor().kernels(), program);
   auto has_edge = [&](rt::TaskId from, rt::TaskId to) {
-    const auto& succ = graph.node(from).successors;
+    const auto succ = graph.successors(from);
     return std::find(succ.begin(), succ.end(), to) != succ.end();
   };
   EXPECT_TRUE(has_edge(0, 1));

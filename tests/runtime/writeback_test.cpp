@@ -5,7 +5,7 @@
 #include "runtime/task_graph.hpp"
 #include "tests/runtime/test_kernels.hpp"
 
-/// Tests for the write-back eligibility analysis and the taskwait
+/// Tests for the write-back eligibility query and the taskwait
 /// flush+invalidate semantics — the two runtime behaviours DESIGN.md §7
 /// identifies as load-bearing for the paper's figures.
 namespace hetsched::rt {
@@ -30,7 +30,7 @@ class WritebackAnalysisTest : public ::testing::Test {
   bool write_eligible(const TaskGraph& graph, TaskId id) {
     const TaskNode& node = graph.node(id);
     for (std::size_t a = 0; a < node.accesses.size(); ++a)
-      if (node.accesses[a].writes()) return node.writeback_eligible[a];
+      if (node.accesses[a].writes()) return graph.writeback_eligible(id, a);
     return false;
   }
 };
@@ -93,6 +93,40 @@ TEST_F(WritebackAnalysisTest, PartialOverlapCountsAsConflict) {
   program.taskwait();
   TaskGraph graph(kernels_, program);
   EXPECT_FALSE(write_eligible(graph, 0));
+}
+
+TEST_F(WritebackAnalysisTest, LaterWriteOnlyKernelKeepsOutputResident) {
+  // WAW: a kernel that only writes the range decides like a reader would.
+  std::vector<KernelDef> kernels = kernels_;
+  kernels.push_back(make_map_kernel("overwrite", kC, kB));  // writes B only
+  Program program;
+  program.submit(0, 0, 100, kGpu);
+  program.submit(2, 0, 100, kGpu);
+  program.taskwait();
+  TaskGraph graph(kernels, program);
+  EXPECT_FALSE(write_eligible(graph, 0));
+  EXPECT_TRUE(write_eligible(graph, 1));
+}
+
+TEST_F(WritebackAnalysisTest, ReadsAndEmptyWritesAreNeverEligible) {
+  Program program;
+  program.submit(0, 0, 100, kGpu);  // access 0 reads A, access 1 writes B
+  program.host_op({{{kC, {0, 0}}, mem::AccessMode::kWrite}});
+  TaskGraph graph(kernels_, program);
+  EXPECT_FALSE(graph.writeback_eligible(0, 0));
+  EXPECT_TRUE(graph.writeback_eligible(0, 1));
+  // Nothing follows it, but an empty region has nothing to write back.
+  EXPECT_FALSE(graph.writeback_eligible(1, 0));
+}
+
+TEST_F(WritebackAnalysisTest, KernelBeforeHostOpKeepsOutputResident) {
+  Program program;
+  program.submit(0, 0, 100, kGpu);  // writes B
+  program.submit(1, 0, 100, kGpu);  // reads B before the host does
+  program.taskwait();
+  program.host_op({{{kB, {0, 100 * kItemBytes}}, mem::AccessMode::kRead}});
+  TaskGraph graph(kernels_, program);
+  EXPECT_FALSE(write_eligible(graph, 0));  // the first use decides
 }
 
 class InvalidationTest : public ::testing::Test {
