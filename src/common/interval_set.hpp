@@ -47,7 +47,8 @@ constexpr Interval intersect(const Interval& a, const Interval& b) {
 /// and separated by gaps (adjacent/overlapping inserts coalesce). Spans live
 /// in one sorted vector: lookups binary-search it and updates rewrite the
 /// affected run of spans in place, so a set that stays small stops touching
-/// the allocator after its first few inserts.
+/// the allocator after its first few inserts. The covered measure is kept
+/// up to date by every update, so reading it never walks the spans.
 class IntervalSet {
  public:
   IntervalSet() = default;
@@ -57,11 +58,7 @@ class IntervalSet {
   std::size_t span_count() const { return spans_.size(); }
 
   /// Total number of points covered.
-  std::int64_t measure() const {
-    std::int64_t total = 0;
-    for (const Interval& span : spans_) total += span.end - span.begin;
-    return total;
-  }
+  std::int64_t measure() const { return measure_; }
 
   /// Adds an interval, coalescing with any overlapping/adjacent spans.
   void insert(Interval iv) {
@@ -75,10 +72,13 @@ class IntervalSet {
         [&iv](const Interval& span) { return span.begin <= iv.end; });
     if (first == last) {
       spans_.insert(first, iv);
+      measure_ += iv.end - iv.begin;
       return;
     }
+    for (auto it = first; it != last; ++it) measure_ -= it->end - it->begin;
     first->begin = std::min(first->begin, iv.begin);
     first->end = std::max(std::prev(last)->end, iv.end);
+    measure_ += first->end - first->begin;
     spans_.erase(std::next(first), last);
   }
 
@@ -91,6 +91,8 @@ class IntervalSet {
     if (iv.empty()) return;
     auto [first, last] = overlapping(spans_, iv);
     if (first == last) return;
+    for (auto it = first; it != last; ++it)
+      measure_ -= intersect(*it, iv).length();
     const bool keep_head = first->begin < iv.begin;
     const bool keep_tail = std::prev(last)->end > iv.end;
     if (keep_head && keep_tail && std::next(first) == last) {
@@ -167,6 +169,8 @@ class IntervalSet {
 
   // Sorted by begin, canonical form.
   std::vector<Interval> spans_;
+  // Sum of the spans' lengths.
+  std::int64_t measure_ = 0;
 };
 
 }  // namespace hetsched

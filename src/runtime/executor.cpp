@@ -78,6 +78,7 @@ class Run {
       }
     }
     lane_begin_[devices_.size()] = static_cast<std::uint32_t>(lanes_.size());
+    lane_free_at_ = arena_.make_array<SimTime>(devices_.size());
     ready_.resize(devices_.size());
     remaining_deps_ = arena_.make_array<std::size_t>(graph_.size());
     for (TaskId id = 0; id < graph_.size(); ++id)
@@ -364,7 +365,11 @@ class Run {
         const hw::DeviceId d =
             (i + 1 < devices_.size()) ? (i + 1) : hw::kCpuDevice;
         if (failed_[d]) continue;
+        // Every lane busy, or nothing to hand out: the lane loop below
+        // would dispatch nothing and consult neither scheduler nor explorer.
+        if (lane_free_at_[d] > now) continue;
         std::vector<TaskId>& queue = ready_[d];
+        if (queue.empty() && pool_.empty()) continue;
         const std::size_t lane_count = lane_begin_[d + 1] - lane_begin_[d];
         for (std::size_t lane = 0; lane < lane_count; ++lane) {
           if (lanes_[lane_begin_[d] + lane].available_at() > now) continue;
@@ -461,6 +466,7 @@ class Run {
       obs_->metrics.observe(compute_hist_key_[d], to_millis(compute));
     }
     lane.reserve(now, end - now);
+    refresh_lane_free_at(d);
 
     // At most once per task: a chunk displaced by a device failure is
     // re-dispatched elsewhere, and non-idempotent kernel bodies must not
@@ -473,10 +479,12 @@ class Run {
     for (const mem::RegionAccess& access : node.accesses) {
       if (access.writes() && !access.region.empty()) {
         coherence_.note_write(access.region, space_of(d));
-        // Locally produced data is ready when the producing task completes;
-        // clear any stale in-flight arrival times for the range.
-        region_ready_[sb_index(space_of(d), access.region.buffer)].assign(
-            access.region.range, end);
+        // Locally produced data needs no arrival time: every later reader
+        // depends on this task, directly or transitively (a later writer of
+        // the bytes, a barrier), so it dispatches no earlier than `end`.
+        // Drop the range's earlier arrivals.
+        region_ready_[sb_index(space_of(d), access.region.buffer)].erase(
+            access.region.range);
         last_writer_[access.region.buffer].assign(access.region.range, id);
       }
     }
@@ -647,6 +655,7 @@ class Run {
           issue_transfer(op, now, &lane);
         }
       }
+      refresh_lane_free_at(d);
       if (lane.available_at() > now) {
         occupancy += lane.available_at() - now;
         if (obs_)
@@ -1040,6 +1049,15 @@ class Run {
     return done;
   }
 
+  /// Device d's earliest lane availability, re-read after one of its lanes
+  /// was reserved (reservations are the only thing that moves a lane).
+  void refresh_lane_free_at(hw::DeviceId d) {
+    SimTime earliest = lanes_[lane_begin_[d]].available_at();
+    for (std::size_t f = lane_begin_[d] + 1; f < lane_begin_[d + 1]; ++f)
+      earliest = std::min(earliest, lanes_[f].available_at());
+    lane_free_at_[d] = earliest;
+  }
+
   /// Latest in-flight readiness time of any part of `region` in `space`.
   SimTime region_ready_time(const mem::Region& region,
                             mem::SpaceId space) const {
@@ -1090,6 +1108,9 @@ class Run {
   /// chasing per-device structs of containers.
   std::vector<sim::Resource> lanes_;
   std::uint32_t* lane_begin_ = nullptr;  // arena, devices+1 entries
+  /// Per device: earliest time any of its lanes is free (arena). pump()
+  /// skips a device whose lanes are all busy.
+  SimTime* lane_free_at_ = nullptr;
   std::vector<std::vector<TaskId>> ready_;
   std::uint8_t* failed_ = nullptr;  // arena, per device
 
@@ -1133,7 +1154,9 @@ class Run {
   /// Latest abandon/retry moment; on a DNF run fault handling can outlast
   /// the last completion, and the run window must still cover it.
   SimTime last_fault_action_ = 0;
-  /// Flat [space × buffer]: byte ranges -> time their current copy lands.
+  /// Flat [space × buffer]: byte ranges copied into the space -> time the
+  /// copy lands (only one still in flight can delay a reader). A local
+  /// write erases its range, so only transfer arrivals live here.
   std::vector<RangeMap<SimTime>> region_ready_;
   /// Per buffer: byte ranges -> task that last wrote them (flush billing).
   std::vector<RangeMap<TaskId>> last_writer_;

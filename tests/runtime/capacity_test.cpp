@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/strings.hpp"
 #include "hw/platform.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/report.hpp"
 #include "tests/runtime/test_kernels.hpp"
 
 /// Device memory capacity enforcement: LRU eviction with write-back of
@@ -59,16 +65,31 @@ TEST(Capacity, NoEvictionWhenEverythingFits) {
   EXPECT_LE(report.peak_resident_bytes[kGpu], 1'000'000);
 }
 
-TEST(Capacity, AlternatingWorkingSetsEvictAndReload) {
-  // 10 KB device memory: one task's pair (8 KB) fits, two pairs do not.
-  Fixture fix(10'000);
+/// Three rounds of ka then kb: with 10 KB of device memory one task's pair
+/// (8 KB) fits and two pairs do not.
+Program alternating_rounds(const Fixture& fix) {
   Program program;
   for (int round = 0; round < 3; ++round) {
     program.submit(fix.ka, 0, kItems, kGpu);
     program.submit(fix.kb, 0, kItems, kGpu);
   }
   program.taskwait();
-  const ExecutionReport report = fix.exec.execute_pinned(program);
+  return program;
+}
+
+/// ka leaves a_out dirty on the GPU; kb must evict a's pair to fit.
+Program dirty_then_other(const Fixture& fix) {
+  Program program;
+  program.submit(fix.ka, 0, kItems, kGpu);
+  program.submit(fix.kb, 0, kItems, kGpu);
+  program.taskwait();
+  return program;
+}
+
+TEST(Capacity, AlternatingWorkingSetsEvictAndReload) {
+  Fixture fix(10'000);
+  const ExecutionReport report =
+      fix.exec.execute_pinned(alternating_rounds(fix));
   // Every round must re-upload the evicted input: 6 H2D instead of 2.
   EXPECT_EQ(report.transfers.h2d_count, 6u);
   EXPECT_LE(report.peak_resident_bytes[kGpu], 10'000);
@@ -76,11 +97,8 @@ TEST(Capacity, AlternatingWorkingSetsEvictAndReload) {
 
 TEST(Capacity, DirtyEvictionWritesBack) {
   Fixture fix(10'000);
-  Program program;
-  program.submit(fix.ka, 0, kItems, kGpu);  // a_out dirty on GPU
-  program.submit(fix.kb, 0, kItems, kGpu);  // must evict a's pair
-  program.taskwait();
-  const ExecutionReport report = fix.exec.execute_pinned(program);
+  const ExecutionReport report =
+      fix.exec.execute_pinned(dirty_then_other(fix));
   // a_out comes home through the eviction (before the final flush would
   // have); total D2H volume is both outputs exactly once.
   EXPECT_EQ(report.transfers.d2h_bytes, 2 * kItems * kItemBytes);
@@ -151,31 +169,73 @@ KernelDef make_reader(std::string name, mem::BufferId buffer) {
   return def;
 }
 
-TEST(Capacity, LruPrefersColderBuffer) {
-  // Three 4 KB inputs, room for two. Access order A, B, A, C, A: at C's
-  // arrival, B is the least recently used — it must be the victim, so the
-  // final A task needs no re-upload.
-  Executor exec(tiny_gpu_platform(10'000), RuntimeCosts{},
-                capacity_options());
-  std::vector<mem::BufferId> buffers;
-  std::vector<KernelId> readers;
-  for (int i = 0; i < 3; ++i) {
-    buffers.push_back(exec.register_buffer(std::string(1, char('A' + i)),
-                                           kItems * kItemBytes));
-    readers.push_back(exec.register_kernel(
-        make_reader("read" + std::to_string(i), buffers[i])));
+/// Three 4 KB inputs A, B, C, each with its own reader, and room for two.
+struct ReaderFixture {
+  ReaderFixture()
+      : exec(tiny_gpu_platform(10'000), RuntimeCosts{}, capacity_options()) {
+    for (int i = 0; i < 3; ++i) {
+      const mem::BufferId buffer = exec.register_buffer(
+          std::string(1, char('A' + i)), kItems * kItemBytes);
+      readers.push_back(exec.register_kernel(
+          make_reader("read" + std::to_string(i), buffer)));
+    }
   }
+
+  Executor exec;
+  std::vector<KernelId> readers;
+};
+
+/// Access order A, B, A, C, A: at C's arrival, B is the least recently used
+/// buffer.
+Program a_b_a_c_a(const ReaderFixture& fix) {
   Program program;
-  program.submit(readers[0], 0, kItems, kGpu);  // A
-  program.submit(readers[1], 0, kItems, kGpu);  // B
-  program.submit(readers[0], 0, kItems, kGpu);  // A again (warms A)
-  program.submit(readers[2], 0, kItems, kGpu);  // C -> evicts B
-  program.submit(readers[0], 0, kItems, kGpu);  // A still resident
+  program.submit(fix.readers[0], 0, kItems, kGpu);  // A
+  program.submit(fix.readers[1], 0, kItems, kGpu);  // B
+  program.submit(fix.readers[0], 0, kItems, kGpu);  // A again (warms A)
+  program.submit(fix.readers[2], 0, kItems, kGpu);  // C -> evicts B
+  program.submit(fix.readers[0], 0, kItems, kGpu);  // A still resident
   program.taskwait();
-  const ExecutionReport report = exec.execute_pinned(program);
+  return program;
+}
+
+TEST(Capacity, LruPrefersColderBuffer) {
+  // B must be the victim, so the final A task needs no re-upload.
+  ReaderFixture fix;
+  const ExecutionReport report = fix.exec.execute_pinned(a_b_a_c_a(fix));
   // Uploads: A, B, C only — and the evictions were clean (no D2H at all).
   EXPECT_EQ(report.transfers.h2d_count, 3u);
   EXPECT_EQ(report.transfers.d2h_count, 0u);
+}
+
+/// FNV-1a digest of one pinned run's full JSON report.
+std::uint64_t report_digest(Executor& exec, const Program& program) {
+  return fnv1a64(report_to_json(exec.execute_pinned(program), exec.kernels()));
+}
+
+TEST(Capacity, EvictionReportsArePinned) {
+  // Literal digests of the eviction set-ups above, recorded before a change
+  // to the residency accounting that ensure_capacity reads: they hold the
+  // victims, write-backs, stalls and peak residency to the same bytes.
+  Fixture alternating(10'000);
+  Fixture dirty(10'000);
+  ReaderFixture lru;
+  struct Pin {
+    const char* label;
+    std::uint64_t digest;
+    std::uint64_t expected;
+  };
+  const Pin pins[] = {
+      {"alternating working sets",
+       report_digest(alternating.exec, alternating_rounds(alternating)),
+       0xa96580466f518894ULL},
+      {"dirty eviction", report_digest(dirty.exec, dirty_then_other(dirty)),
+       0xce1c210602369060ULL},
+      {"lru victim", report_digest(lru.exec, a_b_a_c_a(lru)),
+       0x9450bbb5215767b8ULL},
+  };
+  for (const Pin& pin : pins)
+    EXPECT_EQ(pin.digest, pin.expected)
+        << pin.label << ": 0x" << std::hex << pin.digest << "ULL";
 }
 
 }  // namespace
