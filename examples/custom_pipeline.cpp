@@ -46,13 +46,14 @@ class ImagePipelineApp final : public apps::Application {
     rt::KernelDef blur;
     blur.name = "blur";
     blur.traits = blur_traits;
-    blur.accesses = [this, row_bytes](std::int64_t begin, std::int64_t end) {
-      return std::vector<mem::RegionAccess>{
+    blur.accesses = [this, row_bytes](std::int64_t begin, std::int64_t end,
+                                      std::vector<mem::RegionAccess>& out) {
+      out.insert(out.end(), {
           {{input_, {begin * row_bytes, end * row_bytes}},
            mem::AccessMode::kRead},
           {{blurred_, {begin * row_bytes, end * row_bytes}},
            mem::AccessMode::kWrite},
-      };
+      });
     };
     blur.body = [this](std::int64_t begin, std::int64_t end) {
       for (std::int64_t r = begin; r < end; ++r)
@@ -68,13 +69,14 @@ class ImagePipelineApp final : public apps::Application {
     rt::KernelDef thr;
     thr.name = "threshold";
     thr.traits = thr_traits;
-    thr.accesses = [this, row_bytes](std::int64_t begin, std::int64_t end) {
-      return std::vector<mem::RegionAccess>{
+    thr.accesses = [this, row_bytes](std::int64_t begin, std::int64_t end,
+                                     std::vector<mem::RegionAccess>& out) {
+      out.insert(out.end(), {
           {{blurred_, {begin * row_bytes, end * row_bytes}},
            mem::AccessMode::kRead},
           {{mask_, {begin * row_bytes, end * row_bytes}},
            mem::AccessMode::kWrite},
-      };
+      });
     };
     thr.body = [this](std::int64_t begin, std::int64_t end) {
       for (std::int64_t i = begin * cols_; i < end * cols_; ++i)

@@ -68,16 +68,17 @@ BlackScholesApp::BlackScholesApp(const hw::PlatformSpec& platform,
   def.traits = traits;
   const mem::BufferId price = price_, strike = strike_, years = years_,
                       call = call_, put = put_;
-  def.accesses = [price, strike, years, call, put](std::int64_t begin,
-                                                   std::int64_t end) {
+  def.accesses = [price, strike, years, call, put](
+                     std::int64_t begin, std::int64_t end,
+                     std::vector<mem::RegionAccess>& out) {
     const Interval range{begin * 4, end * 4};
-    return std::vector<mem::RegionAccess>{
+    out.insert(out.end(), {
         {{price, range}, mem::AccessMode::kRead},
         {{strike, range}, mem::AccessMode::kRead},
         {{years, range}, mem::AccessMode::kRead},
         {{call, range}, mem::AccessMode::kWrite},
         {{put, range}, mem::AccessMode::kWrite},
-    };
+    });
   };
   if (config_.functional) {
     def.body = [this](std::int64_t begin, std::int64_t end) {

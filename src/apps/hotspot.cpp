@@ -53,18 +53,19 @@ HotSpotApp::HotSpotApp(const hw::PlatformSpec& platform, Config config)
                       power = power_;
   const std::int64_t rows = rows_;
   def.accesses = [temp_in, temp_out, power, rows, row_bytes](
-                     std::int64_t begin, std::int64_t end) {
+                     std::int64_t begin, std::int64_t end,
+                     std::vector<mem::RegionAccess>& out) {
     // One-row halo on each side, clamped at the grid edges.
     const std::int64_t halo_begin = std::max<std::int64_t>(0, begin - 1);
     const std::int64_t halo_end = std::min<std::int64_t>(rows, end + 1);
-    return std::vector<mem::RegionAccess>{
+    out.insert(out.end(), {
         {{temp_in, {halo_begin * row_bytes, halo_end * row_bytes}},
          mem::AccessMode::kRead},
         {{power, {begin * row_bytes, end * row_bytes}},
          mem::AccessMode::kRead},
         {{temp_out, {begin * row_bytes, end * row_bytes}},
          mem::AccessMode::kWrite},
-    };
+    });
   };
   if (config_.functional) {
     def.body = [this](std::int64_t begin, std::int64_t end) {

@@ -46,16 +46,15 @@ MatrixMulApp::MatrixMulApp(const hw::PlatformSpec& platform, Config config)
   rt::KernelDef def;
   def.name = "matmul";
   def.traits = traits;
-  const std::int64_t n = n_;
   const mem::BufferId a = a_, b = b_, c = c_;
-  def.accesses = [n, a, b, c, row_bytes, matrix_bytes](std::int64_t begin,
-                                                       std::int64_t end) {
-    (void)n;
-    return std::vector<mem::RegionAccess>{
+  def.accesses = [a, b, c, row_bytes, matrix_bytes](
+                     std::int64_t begin, std::int64_t end,
+                     std::vector<mem::RegionAccess>& out) {
+    out.insert(out.end(), {
         {{a, {begin * row_bytes, end * row_bytes}}, mem::AccessMode::kRead},
         {{b, {0, matrix_bytes}}, mem::AccessMode::kRead},
         {{c, {begin * row_bytes, end * row_bytes}}, mem::AccessMode::kWrite},
-    };
+    });
   };
   if (config_.functional) {
     def.body = [this](std::int64_t begin, std::int64_t end) {

@@ -85,14 +85,15 @@ NbodyApp::NbodyApp(const hw::PlatformSpec& platform, Config config)
   def.traits = traits;
   const mem::BufferId state = state_, state_new = state_new_;
   const std::int64_t total_bytes = array_bytes;
-  def.accesses = [state, state_new, total_bytes](std::int64_t begin,
-                                                 std::int64_t end) {
-    return std::vector<mem::RegionAccess>{
+  def.accesses = [state, state_new, total_bytes](
+                     std::int64_t begin, std::int64_t end,
+                     std::vector<mem::RegionAccess>& out) {
+    out.insert(out.end(), {
         // Every body reads every particle state: a broadcast input.
         {{state, {0, total_bytes}}, mem::AccessMode::kRead},
         {{state_new, {begin * kStateBytes, end * kStateBytes}},
          mem::AccessMode::kWrite},
-    };
+    });
   };
   if (config_.functional) {
     def.body = [this](std::int64_t begin, std::int64_t end) {

@@ -74,12 +74,13 @@ SpectralDagApp::SpectralDagApp(const hw::PlatformSpec& platform,
                         cols = cols_, height = height_;
     switch (k) {
       case 0:
-        def.accesses = [params, spec](std::int64_t begin, std::int64_t end) {
+        def.accesses = [params, spec](std::int64_t begin, std::int64_t end,
+                                      std::vector<mem::RegionAccess>& out) {
           const Interval range{begin * 4, end * 4};
-          return std::vector<mem::RegionAccess>{
+          out.insert(out.end(), {
               {{params, range}, mem::AccessMode::kRead},
               {{spec, range}, mem::AccessMode::kReadWrite},
-          };
+          });
         };
         if (config_.functional) {
           def.body = [this](std::int64_t begin, std::int64_t end) {
@@ -89,12 +90,13 @@ SpectralDagApp::SpectralDagApp(const hw::PlatformSpec& platform,
         }
         break;
       case 1:
-        def.accesses = [spec, rows](std::int64_t begin, std::int64_t end) {
+        def.accesses = [spec, rows](std::int64_t begin, std::int64_t end,
+                                    std::vector<mem::RegionAccess>& out) {
           const Interval range{begin * 4, end * 4};
-          return std::vector<mem::RegionAccess>{
+          out.insert(out.end(), {
               {{spec, range}, mem::AccessMode::kRead},
               {{rows, range}, mem::AccessMode::kWrite},
-          };
+          });
         };
         if (config_.functional) {
           def.body = [this](std::int64_t begin, std::int64_t end) {
@@ -104,12 +106,13 @@ SpectralDagApp::SpectralDagApp(const hw::PlatformSpec& platform,
         }
         break;
       case 2:
-        def.accesses = [spec, cols](std::int64_t begin, std::int64_t end) {
+        def.accesses = [spec, cols](std::int64_t begin, std::int64_t end,
+                                    std::vector<mem::RegionAccess>& out) {
           const Interval range{begin * 4, end * 4};
-          return std::vector<mem::RegionAccess>{
+          out.insert(out.end(), {
               {{spec, range}, mem::AccessMode::kRead},
               {{cols, range}, mem::AccessMode::kWrite},
-          };
+          });
         };
         if (config_.functional) {
           def.body = [this](std::int64_t begin, std::int64_t end) {
@@ -119,14 +122,15 @@ SpectralDagApp::SpectralDagApp(const hw::PlatformSpec& platform,
         }
         break;
       case 3:
-        def.accesses = [rows, cols, height](std::int64_t begin,
-                                            std::int64_t end) {
+        def.accesses = [rows, cols, height](
+                           std::int64_t begin, std::int64_t end,
+                           std::vector<mem::RegionAccess>& out) {
           const Interval range{begin * 4, end * 4};
-          return std::vector<mem::RegionAccess>{
+          out.insert(out.end(), {
               {{rows, range}, mem::AccessMode::kRead},
               {{cols, range}, mem::AccessMode::kRead},
               {{height, range}, mem::AccessMode::kWrite},
-          };
+          });
         };
         if (config_.functional) {
           def.body = [this](std::int64_t begin, std::int64_t end) {

@@ -87,12 +87,10 @@ rt::KernelId StreamApp::register_stream_kernel(
   def.name = name;
   def.traits = traits;
   def.body = std::move(body);
-  def.accesses = [buffers](std::int64_t begin, std::int64_t end) {
-    std::vector<mem::RegionAccess> accesses;
-    accesses.reserve(buffers.size());
+  def.accesses = [buffers](std::int64_t begin, std::int64_t end,
+                           std::vector<mem::RegionAccess>& out) {
     for (const auto& [buffer, mode] : buffers)
-      accesses.push_back({{buffer, {begin * 4, end * 4}}, mode});
-    return accesses;
+      out.push_back({{buffer, {begin * 4, end * 4}}, mode});
   };
   return executor_->register_kernel(std::move(def));
 }

@@ -70,14 +70,14 @@ TreeReductionApp::TreeReductionApp(const hw::PlatformSpec& platform,
     const mem::BufferId src = levels_[static_cast<std::size_t>(k)];
     const mem::BufferId dst = levels_[static_cast<std::size_t>(k) + 1];
     const std::int64_t src_size = level_sizes[static_cast<std::size_t>(k)];
-    def.accesses = [src, dst, src_size](std::int64_t begin,
-                                        std::int64_t end) {
+    def.accesses = [src, dst, src_size](std::int64_t begin, std::int64_t end,
+                                        std::vector<mem::RegionAccess>& out) {
       const std::int64_t src_begin = begin * kBranching;
       const std::int64_t src_end = std::min(src_size, end * kBranching);
-      return std::vector<mem::RegionAccess>{
+      out.insert(out.end(), {
           {{src, {src_begin * 4, src_end * 4}}, mem::AccessMode::kRead},
           {{dst, {begin * 4, end * 4}}, mem::AccessMode::kWrite},
-      };
+      });
     };
     if (config_.functional) {
       const std::size_t level = static_cast<std::size_t>(k);

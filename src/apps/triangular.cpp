@@ -49,13 +49,14 @@ TriangularMvApp::TriangularMvApp(const hw::PlatformSpec& platform,
   def.name = "trmv";
   def.traits = traits;
   const mem::BufferId matrix = matrix_, x = x_, y = y_;
-  def.accesses = [matrix, x, y](std::int64_t begin, std::int64_t end) {
-    return std::vector<mem::RegionAccess>{
+  def.accesses = [matrix, x, y](std::int64_t begin, std::int64_t end,
+                                std::vector<mem::RegionAccess>& out) {
+    out.insert(out.end(), {
         {{matrix, {row_offset(begin) * 4, row_offset(end) * 4}},
          mem::AccessMode::kRead},
         {{x, {0, end * 4}}, mem::AccessMode::kRead},
         {{y, {begin * 4, end * 4}}, mem::AccessMode::kWrite},
-    };
+    });
   };
   if (config_.functional) {
     def.body = [this](std::int64_t begin, std::int64_t end) {

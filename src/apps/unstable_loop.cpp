@@ -68,11 +68,12 @@ UnstableLoopApp::UnstableLoopApp(const hw::PlatformSpec& platform,
     // Ping-pong: even sweeps read state/write scratch, odd the reverse.
     const mem::BufferId src = (t % 2 == 0) ? state_ : scratch_;
     const mem::BufferId dst = (t % 2 == 0) ? scratch_ : state_;
-    def.accesses = [src, dst](std::int64_t begin, std::int64_t end) {
-      return std::vector<mem::RegionAccess>{
+    def.accesses = [src, dst](std::int64_t begin, std::int64_t end,
+                              std::vector<mem::RegionAccess>& out) {
+      out.insert(out.end(), {
           {{src, {begin * 4, end * 4}}, mem::AccessMode::kRead},
           {{dst, {begin * 4, end * 4}}, mem::AccessMode::kWrite},
-      };
+      });
     };
     if (config_.functional) {
       const bool even = t % 2 == 0;

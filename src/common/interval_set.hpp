@@ -121,28 +121,33 @@ class IntervalSet {
     return first != last;
   }
 
-  /// The parts of `iv` NOT covered by this set (in order).
-  std::vector<Interval> gaps_within(Interval iv) const {
-    std::vector<Interval> result;
-    if (iv.empty()) return result;
+  /// Calls `fn(gap)` for each part of `iv` NOT covered by this set, in
+  /// order. Allocates nothing; `fn` must not change this set.
+  template <typename Fn>
+  void for_each_gap(Interval iv, Fn&& fn) const {
+    if (iv.empty()) return;
     std::int64_t cursor = iv.begin;
     const auto [first, last] = overlapping(spans_, iv);
     for (auto it = first; it != last; ++it) {
-      if (it->begin > cursor) result.push_back({cursor, it->begin});
+      if (it->begin > cursor) fn(Interval{cursor, it->begin});
       cursor = std::min(it->end, iv.end);
     }
-    if (cursor < iv.end) result.push_back({cursor, iv.end});
-    return result;
+    if (cursor < iv.end) fn(Interval{cursor, iv.end});
   }
 
-  /// The parts of `iv` covered by this set (in order).
-  std::vector<Interval> pieces_within(Interval iv) const {
-    std::vector<Interval> result;
-    if (iv.empty()) return result;
+  /// Calls `fn(piece)` for each part of `iv` covered by this set, in order.
+  /// Allocates nothing; `fn` must not change this set.
+  template <typename Fn>
+  void for_each_piece(Interval iv, Fn&& fn) const {
+    if (iv.empty()) return;
     const auto [first, last] = overlapping(spans_, iv);
-    for (auto it = first; it != last; ++it)
-      result.push_back(intersect(*it, iv));
-    return result;
+    for (auto it = first; it != last; ++it) fn(intersect(*it, iv));
+  }
+
+  /// Empties the set, keeping its storage for later inserts.
+  void clear() {
+    spans_.clear();
+    measure_ = 0;
   }
 
   std::vector<Interval> to_vector() const { return spans_; }

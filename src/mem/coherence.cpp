@@ -67,7 +67,10 @@ std::vector<Interval> CoherenceDirectory::gaps_in_space(const Region& region,
   HS_REQUIRE(space < space_count_, "unknown space " << space);
   const BufferState& st = state(region.buffer);
   require_in_bounds(st.desc, region);
-  return st.valid[space].gaps_within(region.range);
+  std::vector<Interval> gaps;
+  st.valid[space].for_each_gap(region.range,
+                               [&gaps](Interval gap) { gaps.push_back(gap); });
+  return gaps;
 }
 
 std::vector<TransferOp> CoherenceDirectory::plan_acquire(const Region& region,
@@ -84,27 +87,30 @@ void CoherenceDirectory::plan_acquire(const Region& region, SpaceId space,
   require_in_bounds(st.desc, region);
 
   plan.clear();
-  for (const Interval& gap : st.valid[space].gaps_within(region.range)) {
+  st.valid[space].for_each_gap(region.range, [&](Interval gap) {
     // Source each gap from valid holders, host first (cheapest path and the
     // common case: host always regains validity at sync points).
-    IntervalSet remaining{gap};
-    auto take_from = [&](SpaceId src) {
-      if (src == space || remaining.empty()) return;
-      for (const Interval& piece :
-           st.valid[src].pieces_within(gap)) {
-        for (const Interval& usable : remaining.pieces_within(piece)) {
-          plan.push_back(TransferOp{src, space, Region{region.buffer, usable}});
-        }
-        remaining.erase(piece);
-      }
-    };
-    take_from(kHostSpace);
-    for (SpaceId src = 1; src < space_count_ && !remaining.empty(); ++src)
-      take_from(src);
-    HS_ASSERT_MSG(remaining.empty(),
-                  "no valid copy anywhere for " << remaining.measure()
+    source_gap(st, gap, space, plan);
+    HS_ASSERT_MSG(scratch_.empty(),
+                  "no valid copy anywhere for " << scratch_.measure()
                                                 << " bytes of buffer '"
                                                 << st.desc.name << "'");
+  });
+}
+
+void CoherenceDirectory::source_gap(const BufferState& st, Interval gap,
+                                    SpaceId dst,
+                                    std::vector<TransferOp>& plan) const {
+  scratch_.clear();
+  scratch_.insert(gap);
+  for (SpaceId src = 0; src < space_count_ && !scratch_.empty(); ++src) {
+    if (src == dst) continue;
+    st.valid[src].for_each_piece(gap, [&](Interval piece) {
+      scratch_.for_each_piece(piece, [&](Interval usable) {
+        plan.push_back(TransferOp{src, dst, Region{st.desc.id, usable}});
+      });
+      scratch_.erase(piece);
+    });
   }
 }
 
@@ -134,22 +140,13 @@ void CoherenceDirectory::note_write(const Region& region, SpaceId space) {
 std::vector<TransferOp> CoherenceDirectory::plan_flush_to_host() const {
   std::vector<TransferOp> plan;
   for (const BufferState& st : buffers_) {
-    for (const Interval& gap :
-         st.valid[kHostSpace].gaps_within({0, st.desc.size_bytes})) {
-      IntervalSet remaining{gap};
-      for (SpaceId src = 1; src < space_count_ && !remaining.empty(); ++src) {
-        for (const Interval& piece : st.valid[src].pieces_within(gap)) {
-          for (const Interval& usable : remaining.pieces_within(piece)) {
-            plan.push_back(
-                TransferOp{src, kHostSpace, Region{st.desc.id, usable}});
-          }
-          remaining.erase(piece);
-        }
-      }
-      HS_ASSERT_MSG(remaining.empty(),
-                    "flush: no valid copy anywhere for buffer '"
-                        << st.desc.name << "'");
-    }
+    st.valid[kHostSpace].for_each_gap(
+        {0, st.desc.size_bytes}, [&](Interval gap) {
+          source_gap(st, gap, kHostSpace, plan);
+          HS_ASSERT_MSG(scratch_.empty(),
+                        "flush: no valid copy anywhere for buffer '"
+                            << st.desc.name << "'");
+        });
   }
   return plan;
 }
@@ -159,7 +156,7 @@ void CoherenceDirectory::invalidate_device_copies() {
     HS_ASSERT_MSG(st.valid[kHostSpace].covers({0, st.desc.size_bytes}),
                   "invalidate before flush completed for buffer '"
                       << st.desc.name << "'");
-    for (SpaceId s = 1; s < space_count_; ++s) st.valid[s] = IntervalSet{};
+    for (SpaceId s = 1; s < space_count_; ++s) st.valid[s].clear();
   }
 }
 
@@ -168,7 +165,7 @@ void CoherenceDirectory::reclaim_space_to_host(SpaceId space) {
              "reclaim_space_to_host: space " << space);
   for (BufferState& st : buffers_) {
     st.valid[kHostSpace].insert(st.valid[space]);
-    st.valid[space] = IntervalSet{};
+    st.valid[space].clear();
   }
 }
 
@@ -191,18 +188,19 @@ std::vector<TransferOp> CoherenceDirectory::plan_evict(BufferId buffer,
              "evicting from space " << space);
   const BufferState& st = state(buffer);
   std::vector<TransferOp> plan;
-  for (const Interval& piece :
-       st.valid[space].pieces_within({0, st.desc.size_bytes})) {
+  st.valid[space].for_each_piece({0, st.desc.size_bytes}, [&](Interval piece) {
     // Only pieces valid in NO other space must travel.
-    IntervalSet lonely{piece};
+    scratch_.clear();
+    scratch_.insert(piece);
     for (SpaceId s = 0; s < space_count_; ++s) {
       if (s == space) continue;
-      for (const Interval& covered : st.valid[s].pieces_within(piece))
-        lonely.erase(covered);
+      st.valid[s].for_each_piece(
+          piece, [this](Interval covered) { scratch_.erase(covered); });
     }
-    for (const Interval& range : lonely.to_vector())
-      plan.push_back(TransferOp{space, kHostSpace, Region{buffer, range}});
-  }
+    scratch_.for_each_piece(piece, [&](Interval lonely) {
+      plan.push_back(TransferOp{space, kHostSpace, Region{buffer, lonely}});
+    });
+  });
   return plan;
 }
 
@@ -210,27 +208,23 @@ void CoherenceDirectory::drop_copies(BufferId buffer, SpaceId space) {
   HS_REQUIRE(space < space_count_ && space != kHostSpace,
              "dropping from space " << space);
   BufferState& st = state(buffer);
-  for (const Interval& piece :
-       st.valid[space].pieces_within({0, st.desc.size_bytes})) {
-    bool covered_elsewhere = true;
-    IntervalSet others;
-    for (SpaceId s = 0; s < space_count_; ++s) {
-      if (s == space) continue;
-      others.insert(st.valid[s]);
-    }
-    covered_elsewhere = others.covers(piece);
-    HS_ASSERT_MSG(covered_elsewhere,
+  // Every other space's copies, together, must cover this space's.
+  scratch_.clear();
+  for (SpaceId s = 0; s < space_count_; ++s)
+    if (s != space) scratch_.insert(st.valid[s]);
+  st.valid[space].for_each_piece({0, st.desc.size_bytes}, [&](Interval piece) {
+    HS_ASSERT_MSG(scratch_.covers(piece),
                   "dropping the only copy of bytes of buffer '"
                       << st.desc.name << "' — evict first");
-  }
-  st.valid[space] = IntervalSet{};
+  });
+  st.valid[space].clear();
 }
 
 void CoherenceDirectory::check_no_byte_orphaned() const {
   for (const BufferState& st : buffers_) {
-    IntervalSet anywhere;
-    for (const IntervalSet& per_space : st.valid) anywhere.insert(per_space);
-    HS_ASSERT_MSG(anywhere.covers({0, st.desc.size_bytes}),
+    scratch_.clear();
+    for (const IntervalSet& per_space : st.valid) scratch_.insert(per_space);
+    HS_ASSERT_MSG(scratch_.covers({0, st.desc.size_bytes}),
                   "buffer '" << st.desc.name
                              << "' has bytes valid in no space");
   }

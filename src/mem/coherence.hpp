@@ -17,6 +17,11 @@
 /// (shared, after reads) but a write makes the writing space the *only*
 /// valid holder (invalidation), like MSI without the explicit M/S split —
 /// we only need to know "who has a current copy".
+///
+/// Planning walks the validity sets in place and works in one scratch set
+/// the directory owns, so it allocates nothing beyond its output. Even the
+/// const planners write that scratch set: one directory serves one thread
+/// (each executor run owns its own).
 namespace hetsched::mem {
 
 /// One planned host<->device (or device<->device via host) copy.
@@ -58,8 +63,9 @@ class CoherenceDirectory {
   std::vector<TransferOp> plan_acquire(const Region& region,
                                        SpaceId space) const;
 
-  /// Allocation-reusing variant for hot paths: clears `out` and fills it
-  /// with the same plan (same ops, same order) the vector overload returns.
+  /// Allocation-free variant for hot paths: clears `out` and fills it with
+  /// the same plan (same ops, same order) the vector overload returns. Once
+  /// `out` and the scratch set have grown, a call allocates nothing.
   void plan_acquire(const Region& region, SpaceId space,
                     std::vector<TransferOp>& out) const;
 
@@ -120,8 +126,17 @@ class CoherenceDirectory {
   const BufferState& state(BufferId id) const;
   BufferState& state(BufferId id);
 
+  /// Appends to `plan` the copies that make `gap` of `st` valid in `dst`:
+  /// each byte comes from the first other space, in id order, that holds
+  /// it. Leaves in scratch_ the bytes no space holds.
+  void source_gap(const BufferState& st, Interval gap, SpaceId dst,
+                  std::vector<TransferOp>& plan) const;
+
   std::size_t space_count_;
   std::vector<BufferState> buffers_;
+  /// Working set of the planners and invariant checks; every use starts by
+  /// clearing it, and its storage is kept across uses.
+  mutable IntervalSet scratch_;
 };
 
 }  // namespace hetsched::mem

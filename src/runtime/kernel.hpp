@@ -23,8 +23,11 @@ using KernelBody = std::function<void(std::int64_t begin, std::int64_t end)>;
 /// Maps an item range to the byte regions it reads/writes. This is the
 /// analogue of OmpSs data-dependency clauses (`in`/`out`/`inout` on array
 /// sections) and drives both dependency analysis and coherence transfers.
-using AccessFn = std::function<std::vector<mem::RegionAccess>(
-    std::int64_t begin, std::int64_t end)>;
+/// Appends the task's accesses to `out`, which already holds the accesses
+/// of earlier tasks: the function must neither clear nor read it.
+using AccessFn =
+    std::function<void(std::int64_t begin, std::int64_t end,
+                       std::vector<mem::RegionAccess>& out)>;
 
 struct KernelDef {
   std::string name;

@@ -27,6 +27,10 @@ struct BufferTracker {
 TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
                      const Program& program) {
   nodes_.reserve(program.ops().size());
+  // Where each node's accesses start in accesses_. The array grows during
+  // the sweep, so the nodes' views are set only once it ends.
+  std::vector<std::size_t> access_offsets;
+  access_offsets.reserve(program.ops().size() + 1);
   // Out-degree per task until the sweep ends; see the counting sort below.
   successor_offsets_.assign(program.ops().size() + 1, 0);
   std::vector<std::pair<TaskId, TaskId>> edges;
@@ -55,6 +59,7 @@ TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
 
   for (const ProgramOp& op : program.ops()) {
     const TaskId id = nodes_.size();
+    access_offsets.push_back(accesses_.size());
     TaskNode node;
     node.id = id;
 
@@ -84,7 +89,8 @@ TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
     if (op.kind == ProgramOp::Kind::kHostOp) {
       node.is_host_op = true;
       node.host_body = op.host.body;
-      node.accesses = op.host.accesses;
+      accesses_.insert(accesses_.end(), op.host.accesses.begin(),
+                       op.host.accesses.end());
       nodes_.push_back(std::move(node));
     } else {
       const SubmitOp& submit = op.submit;
@@ -96,14 +102,17 @@ TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
       node.begin = submit.begin;
       node.end = submit.end;
       node.pinned_device = submit.pinned_device;
-      node.accesses = kernel.accesses(submit.begin, submit.end);
+      kernel.accesses(submit.begin, submit.end, accesses_);
       nodes_.push_back(std::move(node));
     }
+    // This node's accesses; the view lasts until the next node appends.
+    const auto accesses = std::span<const mem::RegionAccess>(accesses_)
+                              .subspan(access_offsets[id]);
 
     deps.clear();
     if (last_barrier) deps.push_back(*last_barrier);
 
-    for (const mem::RegionAccess& access : nodes_[id].accesses) {
+    for (const mem::RegionAccess& access : accesses) {
       if (access.region.empty()) continue;
       BufferTracker& tracker = tracker_for(access.region.buffer);
       const Interval range = access.region.range;
@@ -145,7 +154,7 @@ TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
 
     // Commit this task's effects after scanning all accesses, so a task
     // never depends on itself through its own inout regions.
-    for (const mem::RegionAccess& access : nodes_[id].accesses) {
+    for (const mem::RegionAccess& access : accesses) {
       if (access.region.empty()) continue;
       BufferTracker& tracker = trackers[access.region.buffer];
       const Interval range = access.region.range;
@@ -158,6 +167,12 @@ TaskGraph::TaskGraph(const std::vector<KernelDef>& kernels,
     for (TaskId dep : deps) add_edge(dep, id, edges);
     since_barrier.push_back(id);
   }
+
+  access_offsets.push_back(accesses_.size());
+  for (TaskNode& node : nodes_)
+    node.accesses = std::span<const mem::RegionAccess>(accesses_).subspan(
+        access_offsets[node.id],
+        access_offsets[node.id + 1] - access_offsets[node.id]);
 
   // Counting sort of the edges by source. Prefix sums turn each task's
   // out-degree into the end of its list; placing the edges backward then

@@ -36,7 +36,9 @@ struct TaskNode {
   std::int64_t begin = 0;
   std::int64_t end = 0;
   std::optional<hw::DeviceId> pinned_device;
-  std::vector<mem::RegionAccess> accesses;
+  /// Kernel-task and host-op nodes: a view into the graph's one access
+  /// array, valid while the graph lives. Empty for barriers.
+  std::span<const mem::RegionAccess> accesses;
 
   std::size_t predecessor_count = 0;
 
@@ -48,6 +50,13 @@ class TaskGraph {
   /// `kernels[k]` must be the definition for KernelId k referenced by the
   /// program. Throws InvalidArgument on out-of-range kernel ids.
   TaskGraph(const std::vector<KernelDef>& kernels, const Program& program);
+
+  // The nodes view the graph's access array: a copy would view the
+  // original's, while a move keeps the array and the views in step.
+  TaskGraph(const TaskGraph&) = delete;
+  TaskGraph& operator=(const TaskGraph&) = delete;
+  TaskGraph(TaskGraph&&) = default;
+  TaskGraph& operator=(TaskGraph&&) = default;
 
   const std::vector<TaskNode>& nodes() const { return nodes_; }
   const TaskNode& node(TaskId id) const { return nodes_[id]; }
@@ -85,6 +94,8 @@ class TaskGraph {
                 std::vector<std::pair<TaskId, TaskId>>& edges);
 
   std::vector<TaskNode> nodes_;
+  /// Every node's accesses, in node order; TaskNode::accesses views it.
+  std::vector<mem::RegionAccess> accesses_;
   std::size_t edge_count_ = 0;
   /// Successor lists in one array (CSR): task id's successors are
   /// successor_ids_[successor_offsets_[id], successor_offsets_[id + 1]).

@@ -7,6 +7,21 @@
 namespace hetsched {
 namespace {
 
+/// The gaps for_each_gap visits, in order.
+std::vector<Interval> gaps_of(const IntervalSet& set, Interval iv) {
+  std::vector<Interval> gaps;
+  set.for_each_gap(iv, [&gaps](Interval gap) { gaps.push_back(gap); });
+  return gaps;
+}
+
+/// The pieces for_each_piece visits, in order.
+std::vector<Interval> pieces_of(const IntervalSet& set, Interval iv) {
+  std::vector<Interval> pieces;
+  set.for_each_piece(iv,
+                     [&pieces](Interval piece) { pieces.push_back(piece); });
+  return pieces;
+}
+
 TEST(Interval, EmptinessAndLength) {
   EXPECT_TRUE((Interval{3, 3}).empty());
   EXPECT_TRUE((Interval{5, 2}).empty());
@@ -117,7 +132,7 @@ TEST(IntervalSet, GapsWithin) {
   IntervalSet set;
   set.insert({10, 20});
   set.insert({30, 40});
-  const auto gaps = set.gaps_within({0, 50});
+  const auto gaps = gaps_of(set, {0, 50});
   ASSERT_EQ(gaps.size(), 3u);
   EXPECT_EQ(gaps[0], (Interval{0, 10}));
   EXPECT_EQ(gaps[1], (Interval{20, 30}));
@@ -126,12 +141,12 @@ TEST(IntervalSet, GapsWithin) {
 
 TEST(IntervalSet, GapsWithinFullyCovered) {
   IntervalSet set{{0, 100}};
-  EXPECT_TRUE(set.gaps_within({10, 90}).empty());
+  EXPECT_TRUE(gaps_of(set, {10, 90}).empty());
 }
 
 TEST(IntervalSet, GapsWithinStartsInsideSpan) {
   IntervalSet set{{0, 10}};
-  const auto gaps = set.gaps_within({5, 15});
+  const auto gaps = gaps_of(set, {5, 15});
   ASSERT_EQ(gaps.size(), 1u);
   EXPECT_EQ(gaps[0], (Interval{10, 15}));
 }
@@ -140,7 +155,7 @@ TEST(IntervalSet, PiecesWithin) {
   IntervalSet set;
   set.insert({10, 20});
   set.insert({30, 40});
-  const auto pieces = set.pieces_within({15, 35});
+  const auto pieces = pieces_of(set, {15, 35});
   ASSERT_EQ(pieces.size(), 2u);
   EXPECT_EQ(pieces[0], (Interval{15, 20}));
   EXPECT_EQ(pieces[1], (Interval{30, 35}));
@@ -199,12 +214,15 @@ TEST(IntervalSetProperty, MatchesBitmapModel) {
       ASSERT_LT(spans[i].end, spans[i + 1].begin);
     }
 
-    // gaps_within + pieces_within partition any probe interval.
+    // The visited pieces and gaps partition any probe interval.
     const Interval probe{17, 201};
     std::int64_t covered = 0;
-    for (const auto& piece : set.pieces_within(probe)) covered += piece.length();
+    set.for_each_piece(probe, [&covered](Interval piece) {
+      covered += piece.length();
+    });
     std::int64_t uncovered = 0;
-    for (const auto& gap : set.gaps_within(probe)) uncovered += gap.length();
+    set.for_each_gap(probe,
+                     [&uncovered](Interval gap) { uncovered += gap.length(); });
     ASSERT_EQ(covered + uncovered, probe.length());
   }
 }

@@ -35,14 +35,15 @@ class ProfilerTest : public ::testing::Test {
 
     rt::KernelDef bcast = rt::testing::make_map_kernel("bcast", in_, out_);
     const mem::BufferId in = in_, out = out_, side = side_;
-    bcast.accesses = [in, out, side](std::int64_t begin, std::int64_t end) {
-      return std::vector<mem::RegionAccess>{
+    bcast.accesses = [in, out, side](std::int64_t begin, std::int64_t end,
+                                     std::vector<mem::RegionAccess>& list) {
+      list.insert(list.end(), {
           {{in, {begin * kItemBytes, end * kItemBytes}},
            mem::AccessMode::kRead},
           {{side, {0, 12'000'000}}, mem::AccessMode::kRead},
           {{out, {begin * kItemBytes, end * kItemBytes}},
            mem::AccessMode::kWrite},
-      };
+      });
     };
     bcast_kernel_ = exec_.register_kernel(std::move(bcast));
   }

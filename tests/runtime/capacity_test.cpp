@@ -161,10 +161,10 @@ KernelDef make_reader(std::string name, mem::BufferId buffer) {
   def.traits.name = def.name;
   def.traits.flops_per_item = 10.0;
   def.traits.device_bytes_per_item = 4.0;
-  def.accesses = [buffer](std::int64_t begin, std::int64_t end) {
-    return std::vector<mem::RegionAccess>{
-        {{buffer, {begin * kItemBytes, end * kItemBytes}},
-         mem::AccessMode::kRead}};
+  def.accesses = [buffer](std::int64_t begin, std::int64_t end,
+                          std::vector<mem::RegionAccess>& out) {
+    out.push_back({{buffer, {begin * kItemBytes, end * kItemBytes}},
+                   mem::AccessMode::kRead});
   };
   return def;
 }

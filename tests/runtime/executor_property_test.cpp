@@ -144,18 +144,15 @@ RunResult run_generated(const GeneratedProgram& gen,
     def.traits.flops_per_item = 4.0;
     def.traits.device_bytes_per_item = 8.0;
     const mem::BufferId src = buffers[g.src], dst = buffers[g.dst];
-    def.accesses = [src, dst](std::int64_t begin, std::int64_t end) {
-      std::vector<mem::RegionAccess> accesses;
+    def.accesses = [src, dst](std::int64_t begin, std::int64_t end,
+                              std::vector<mem::RegionAccess>& out) {
       if (src == dst) {
-        accesses.push_back(
+        out.push_back(
             {{src, {begin * 4, end * 4}}, mem::AccessMode::kReadWrite});
       } else {
-        accesses.push_back(
-            {{src, {begin * 4, end * 4}}, mem::AccessMode::kRead});
-        accesses.push_back(
-            {{dst, {begin * 4, end * 4}}, mem::AccessMode::kWrite});
+        out.push_back({{src, {begin * 4, end * 4}}, mem::AccessMode::kRead});
+        out.push_back({{dst, {begin * 4, end * 4}}, mem::AccessMode::kWrite});
       }
-      return accesses;
     };
     def.body = [live, g](std::int64_t begin, std::int64_t end) {
       for (std::int64_t i = begin; i < end; ++i)

@@ -26,11 +26,12 @@ inline KernelDef make_map_kernel(std::string name, mem::BufferId in,
   def.traits.name = def.name;
   def.traits.flops_per_item = 10.0;
   def.traits.device_bytes_per_item = 8.0;
-  def.accesses = [in, out](std::int64_t begin, std::int64_t end) {
-    return std::vector<mem::RegionAccess>{
+  def.accesses = [in, out](std::int64_t begin, std::int64_t end,
+                           std::vector<mem::RegionAccess>& accesses) {
+    accesses.insert(accesses.end(), {
         {item_region(in, begin, end), mem::AccessMode::kRead},
         {item_region(out, begin, end), mem::AccessMode::kWrite},
-    };
+    });
   };
   def.body = std::move(body);
   return def;
@@ -44,10 +45,10 @@ inline KernelDef make_inplace_kernel(std::string name, mem::BufferId buffer,
   def.traits.name = def.name;
   def.traits.flops_per_item = 10.0;
   def.traits.device_bytes_per_item = 8.0;
-  def.accesses = [buffer](std::int64_t begin, std::int64_t end) {
-    return std::vector<mem::RegionAccess>{
-        {item_region(buffer, begin, end), mem::AccessMode::kReadWrite},
-    };
+  def.accesses = [buffer](std::int64_t begin, std::int64_t end,
+                          std::vector<mem::RegionAccess>& out) {
+    out.push_back({item_region(buffer, begin, end),
+                   mem::AccessMode::kReadWrite});
   };
   def.body = std::move(body);
   return def;

@@ -53,12 +53,13 @@ void expect_matches_reference(const TaskGraph& graph, Tally& tally) {
 KernelDef make_two_input_kernel(mem::BufferId x, mem::BufferId y,
                                 mem::BufferId out) {
   KernelDef def = make_map_kernel("combine", x, out);
-  def.accesses = [x, y, out](std::int64_t begin, std::int64_t end) {
-    return std::vector<mem::RegionAccess>{
+  def.accesses = [x, y, out](std::int64_t begin, std::int64_t end,
+                             std::vector<mem::RegionAccess>& accesses) {
+    accesses.insert(accesses.end(), {
         {item_region(x, begin, end), mem::AccessMode::kRead},
         {item_region(y, begin, end), mem::AccessMode::kRead},
         {item_region(out, begin, end), mem::AccessMode::kWrite},
-    };
+    });
   };
   return def;
 }

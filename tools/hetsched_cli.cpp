@@ -4,7 +4,7 @@
 ///   hetsched_cli catalog                   # the 86-app structure study
 ///   hetsched_cli match   --app <name>      # classify + select (Figure 2)
 ///   hetsched_cli run     --app <name> [--strategy <s>] [--platform <p>]
-///                        [--sync] [--tasks <m>] [--paper-size|--small]
+///                        [--sync] [--tasks <m>] [--small] [--json]
 ///   hetsched_cli compare --app <name> [--sync] [--platform <p>] [--csv]
 ///   hetsched_cli trace   --app <name> --out <file.json>
 ///                        [--strategy <s>]  # chrome://tracing timeline
@@ -60,8 +60,12 @@
 ///                        # --trace fetches the request's span tree via a
 ///                        # trace-dump frame and prints it to stderr
 ///
-/// The usage string main() prints is generated from the same verb table
-/// that dispatches commands, so it cannot drift from what actually runs.
+/// The usage strings main() prints are generated from the same verb table
+/// that dispatches commands, so they cannot drift from what actually runs.
+/// Each verb lists the flags its command reads: any other flag, or a token
+/// that is no flag's value, prints the verb's usage line to stderr and
+/// exits 2. `<verb> --help` prints that line to stdout and exits 0 without
+/// doing any work.
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
@@ -96,7 +100,6 @@ namespace {
 using namespace hetsched;
 
 struct Args {
-  std::string command;
   std::map<std::string, std::string> options;
   bool flag(const std::string& name) const { return options.count(name); }
   std::string get(const std::string& name,
@@ -106,26 +109,18 @@ struct Args {
   }
 };
 
-Args parse(int argc, char** argv) {
-  Args args;
-  if (argc > 1) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) continue;
-    token = token.substr(2);
-    // Both spellings work: --explore dfs and --explore=dfs.
-    const std::size_t eq = token.find('=');
-    if (eq != std::string::npos) {
-      args.options[token.substr(0, eq)] = token.substr(eq + 1);
-      continue;
-    }
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args.options[token] = argv[++i];
-    } else {
-      args.options[token] = "";
-    }
-  }
-  return args;
+/// One flag a verb reads: a switch when `value` is null, else a flag that
+/// takes the argument `value` names in the usage line.
+struct Flag {
+  const char* name;
+  const char* value;
+};
+
+using Flags = std::vector<Flag>;
+
+Flags operator+(Flags a, const Flags& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
 }
 
 const std::map<std::string, apps::PaperApp>& app_names() {
@@ -194,6 +189,25 @@ void print_result(const strategies::StrategyResult& result) {
             << "), overhead " << format_time(result.report.overhead_time)
             << "\n";
 }
+
+/// What make_app and options_from read.
+const Flags kAppFlags = {{"app", "<name>"},
+                         {"platform", "<p>"},
+                         {"small", nullptr},
+                         {"sync", nullptr},
+                         {"tasks", "<m>"}};
+
+/// What request_from_args reads.
+const Flags kRequestFlags = kAppFlags + Flags{{"strategy", "<s>"},
+                                              {"gantt", nullptr},
+                                              {"json", nullptr}};
+
+/// What cmd_sweep and cmd_faults both read.
+const Flags kSweepFlags = {{"strategies", "<s1,s2>"}, {"small", nullptr},
+                           {"tasks", "<m>"},          {"serial", nullptr},
+                           {"jobs", "<n>"},           {"no-cache", nullptr},
+                           {"cache-dir", "<dir>"},    {"json", "[<file>]"},
+                           {"csv", nullptr}};
 
 int cmd_list() {
   std::cout << "applications:\n";
@@ -860,25 +874,73 @@ int cmd_query(const Args& args) {
 struct Verb {
   const char* name;
   int (*run)(const Args&);
+  Flags flags;  ///< every flag `run` reads
 };
 
 const std::vector<Verb>& verb_table() {
   static const std::vector<Verb> kVerbs = {
-      {"list", [](const Args&) { return cmd_list(); }},
-      {"catalog", cmd_catalog},
-      {"match", cmd_match},
-      {"run", cmd_run},
-      {"compare", cmd_compare},
-      {"trace", cmd_trace},
-      {"analyze", cmd_analyze},
-      {"tune", cmd_tune},
-      {"sweep", cmd_sweep},
-      {"faults", cmd_faults},
-      {"metrics", cmd_metrics},
-      {"explain", cmd_explain},
-      {"fuzz", cmd_fuzz},
-      {"serve", cmd_serve},
-      {"query", cmd_query},
+      {"list", [](const Args&) { return cmd_list(); }, {}},
+      {"catalog", cmd_catalog, {{"csv", nullptr}}},
+      {"match", cmd_match, kRequestFlags},
+      {"run", cmd_run,
+       kAppFlags + Flags{{"strategy", "<s>"}, {"json", nullptr}}},
+      {"compare", cmd_compare, kAppFlags + Flags{{"csv", nullptr}}},
+      {"trace", cmd_trace,
+       kAppFlags + Flags{{"strategy", "<s>"}, {"out", "<file.json>"}}},
+      {"analyze", cmd_analyze, kRequestFlags},
+      {"tune", cmd_tune,
+       kAppFlags + Flags{{"strategy", "<s>"}, {"csv", nullptr}}},
+      {"sweep", cmd_sweep,
+       Flags{{"apps", "<a,b>"},
+             {"platforms", "<p1,p2>"},
+             {"sync-mode", "<both|on|off>"}} +
+           kSweepFlags},
+      {"faults", cmd_faults,
+       Flags{{"plan", "<name>"},
+             {"seed", "<n>"},
+             {"app", "<name>"},
+             {"apps", "<a,b>"},
+             {"platform", "<p>"},
+             {"sync", nullptr}} +
+           kSweepFlags},
+      {"metrics", cmd_metrics,
+       kAppFlags + Flags{{"strategy", "<s>"},
+                         {"plan", "<name|none>"},
+                         {"seed", "<n>"},
+                         {"format", "<prom|json>"},
+                         {"out", "<file>"}}},
+      {"explain", cmd_explain, kRequestFlags},
+      {"fuzz", cmd_fuzz,
+       {{"seed", "<n>"},
+        {"iters", "<k>"},
+        {"corpus", "<file>"},
+        {"repro", "<file>"},
+        {"out", "<file>"},
+        {"no-shrink", nullptr},
+        {"plant", "<mutation>"},
+        {"oracles", nullptr},
+        {"serve", nullptr},
+        {"explore", "<random|fair|dfs>"},
+        {"schedules", "<k>"}}},
+      {"serve", cmd_serve,
+       {{"port", "<p>"},
+        {"host", "<h>"},
+        {"workers", "<n>"},
+        {"max-queue", "<n>"},
+        {"shards", "<n>"},
+        {"cache-dir", "<dir>"},
+        {"announce-port", nullptr},
+        {"metrics-out", "<file>"},
+        {"trace-capacity", "<n>"},
+        {"log-format", "<text|json>"},
+        {"log-level", "<debug|info|warn|error|off>"}}},
+      {"query", cmd_query,
+       Flags{{"port", "<p>"},
+             {"port-stdin", nullptr},
+             {"host", "<h>"},
+             {"op", "<match|explain|analyze>"}} +
+           kRequestFlags +
+           Flags{{"trace", nullptr}, {"then-shutdown", nullptr}}},
   };
   return kVerbs;
 }
@@ -887,19 +949,82 @@ std::string usage_string() {
   std::vector<std::string> names;
   for (const Verb& verb : verb_table()) names.push_back(verb.name);
   return "usage: hetsched_cli <" + join(names, "|") +
-         "> [--app <name>] [--strategy <s>] [--platform <p>] [--sync] "
-         "[--tasks <m>] [--small] [--csv] [--out <file>]\n";
+         "> [flags]\n       hetsched_cli <verb> --help lists a verb's "
+         "flags\n";
+}
+
+/// The verb's usage line: every flag it reads.
+std::string verb_usage(const Verb& verb) {
+  std::string line = std::string("usage: hetsched_cli ") + verb.name;
+  for (const Flag& flag : verb.flags) {
+    line += std::string(" [--") + flag.name;
+    if (flag.value) line += std::string(" ") + flag.value;
+    line += "]";
+  }
+  return line + "\n";
+}
+
+/// Reads argv[2..] into `args`. `--flag value` and `--flag=value` both
+/// work; a flag that takes a value but is given none reads as empty.
+/// Returns what does not fit `verb` — a flag it does not read, a switch
+/// given a value, a token that is no flag's value — or an empty string.
+std::string parse_flags(const Verb& verb, int argc, char** argv,
+                        Args& args) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string token = argv[i];
+    if (token.rfind("--", 0) != 0)
+      return "unexpected argument '" + token + "'";
+    const std::size_t eq = token.find('=');
+    const std::string name =
+        token.substr(2, eq == std::string::npos ? eq : eq - 2);
+    const auto flag =
+        std::find_if(verb.flags.begin(), verb.flags.end(),
+                     [&name](const Flag& f) { return name == f.name; });
+    if (flag == verb.flags.end())
+      return "unknown flag --" + name + " for " + verb.name;
+    if (eq != std::string::npos) {
+      if (flag->value == nullptr) return "--" + name + " takes no value";
+      args.options[name] = token.substr(eq + 1);
+    } else if (flag->value != nullptr && i + 1 < argc &&
+               std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      args.options[name] = argv[++i];
+    } else {
+      args.options[name] = "";
+    }
+  }
+  return "";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
-  try {
-    for (const Verb& verb : verb_table())
-      if (args.command == verb.name) return verb.run(args);
+  const std::string command = argc > 1 ? argv[1] : "";
+  const std::vector<Verb>& verbs = verb_table();
+  const auto verb =
+      std::find_if(verbs.begin(), verbs.end(),
+                   [&command](const Verb& v) { return command == v.name; });
+  if (verb == verbs.end()) {
+    if (command == "--help") {
+      std::cout << usage_string();
+      return 0;
+    }
     std::cerr << usage_string();
-    return args.command.empty() ? 0 : 2;
+    return command.empty() ? 0 : 2;
+  }
+  for (int i = 2; i < argc; ++i) {
+    if (std::string(argv[i]) == "--help") {
+      std::cout << verb_usage(*verb);
+      return 0;
+    }
+  }
+  Args args;
+  const std::string problem = parse_flags(*verb, argc, argv, args);
+  if (!problem.empty()) {
+    std::cerr << "error: " << problem << "\n" << verb_usage(*verb);
+    return 2;
+  }
+  try {
+    return verb->run(args);
   } catch (const hetsched::Error& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;
